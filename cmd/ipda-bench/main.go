@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"github.com/ipda-sim/ipda/internal/experiments"
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/qtrace"
@@ -44,7 +43,6 @@ func main() {
 		sizes     = flag.String("sizes", "", "comma-separated network sizes (default: paper's 200..600)")
 		workers   = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 0, "intra-trial shard workers for sharded experiments (0 = 1; output is shard-independent)")
-		cipher    = flag.String("cipher", "aes", "link-encryption keystream suite: aes | sha256 (tables are suite-independent)")
 		macFlag   = flag.String("mac", "csma", "channel-access scheme: csma | tdma (tdma retimes transmissions; tables differ from csma)")
 		coalesce  = flag.Bool("coalesce", false, "grow the overhead experiments with slice-coalesced framing columns (existing columns keep their exact bytes)")
 		format    = flag.String("format", "text", "output format: text | csv")
@@ -96,12 +94,6 @@ func main() {
 	}
 
 	opts := experiments.Options{Trials: *trials, Seed: *seed, Workers: *workers, Shards: *shards, Coalesce: *coalesce}
-	suite, err := linksec.ParseSuite(*cipher)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ipda-bench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.Suite = suite
 	scheme, err := mac.ParseScheme(*macFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipda-bench: %v\n", err)

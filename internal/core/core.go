@@ -55,11 +55,6 @@ type Config struct {
 	// Keys is the link-key scheme; nil selects a pairwise scheme derived
 	// from the instance seed.
 	Keys linksec.Scheme
-	// Suite selects the keystream/tag primitive slices are sealed with.
-	// The zero value is the batched AES-CTR engine; linksec.SuiteSHA256
-	// selects the original SHA-256-PRF compat mode. Experiment tables are
-	// suite-independent (no result consumes ciphertext bytes).
-	Suite linksec.Suite
 	// SliceWindow is the Phase II reporting window; slices are sent at
 	// uniform random offsets within it.
 	SliceWindow eventsim.Time
@@ -423,9 +418,9 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		clear(in.polluters)
 	}
 	if in.ciphers == nil {
-		in.ciphers = linksec.NewCipherCache(keys, cfg.Suite)
+		in.ciphers = linksec.NewCipherCache(keys)
 	} else {
-		in.ciphers.Reset(keys, cfg.Suite)
+		in.ciphers.Reset(keys)
 	}
 	in.OnSlice = nil
 	in.OnLocalShare = nil
@@ -676,20 +671,6 @@ func (in *Instance) RunCount() (*Result, error) {
 	return in.Run(aggregate.SpecFor(aggregate.Count), make([]int64, in.Net.N()))
 }
 
-// sliceNonce builds a unique nonce per (key era, round, direction, slice):
-// the high bit of the low byte encodes direction so both directions of a
-// shared key never reuse a keystream. round is the wire round — the low 16
-// bits of the cumulative counter — so the nonce alone repeats every 65,536
-// rounds; uniqueness across that horizon comes from the per-era key
-// rotation in advanceRound, making (era, nonce) injective by construction.
-func sliceNonce(round uint16, src, dst topology.NodeID, idx int) uint32 {
-	dir := uint32(0)
-	if src > dst {
-		dir = 0x80
-	}
-	return uint32(round)<<8 | dir | uint32(idx&0x7f)
-}
-
 // Rounds returns the cumulative additive rounds this deployment has run
 // since its last Reset. Epoch pipelines report it; the wire carries only
 // its low 16 bits.
@@ -701,67 +682,16 @@ func (in *Instance) Rounds() uint64 { return in.round }
 // the same key.
 func (in *Instance) KeyEra() uint64 { return in.era }
 
-// PrecomputeKeystreams warms the per-link AES keystream-block cache for
-// the NEXT additive round: every potential sender warms the blocks its
-// slice nonces would select toward every keyed tree-neighbor candidate.
-// Target selection draws its rng only when the round actually runs, so
-// the candidate set is the tightest superset knowable ahead of time;
-// warming a link that ends up unchosen costs one cached block and
-// changes nothing. The call is behavior-neutral by construction — no rng,
-// no events, pure cache population (see linksec.Cipher.Warm) — so every
-// table and trace is byte-identical with or without it. Exactly one
-// round ahead is the useful horizon: the block cache's slot map aliases
-// rounds, so blocks warmed further out would be evicted by the
-// intervening round's own traffic, and a multi-round firing runs its
-// later rounds back to back with no idle gap to exploit anyway. A next
-// round that crosses the key-era boundary warms nothing: its links seal
-// under rotated keys that do not exist yet. Returns the number of AES
-// blocks computed.
-func (in *Instance) PrecomputeKeystreams() int {
-	if in.Cfg.Suite != linksec.SuiteAESCTR || in.Trees == nil {
-		return 0
-	}
-	next := in.round + 1
-	if next>>16 != in.era {
-		return 0
-	}
-	round := uint16(next)
-	warmed := 0
-	warm := func(src topology.NodeID, cands []topology.NodeID) {
-		for _, dst := range cands {
-			c, ok := in.ciphers.Link(src, dst)
-			if !ok {
-				continue
-			}
-			for idx := 0; idx < in.Cfg.Slices; idx++ {
-				if c.Warm(sliceNonce(round, src, dst, idx)) {
-					warmed++
-				}
-			}
-		}
-	}
-	n := in.Net.N()
-	for i := 1; i < n; i++ {
-		id := topology.NodeID(i)
-		if in.disabled(id) || in.Trees.Role[id] == tree.RoleBase {
-			continue
-		}
-		warm(id, in.Trees.RedNeighbors[id])
-		warm(id, in.Trees.BlueNeighbors[id])
-	}
-	return warmed
-}
-
 // advanceRound bumps the cumulative round counter and returns the wire
 // round. Crossing a 16-bit boundary rotates the key era: the cipher cache
-// is rebound to era-qualified keys (a pure key copy per link under the
-// AES suite), closing the nonce-wraparound keystream reuse a long-running
-// network would otherwise hit at round 65,536.
+// is rebound to era-qualified keys (a pure key copy per link), closing
+// the nonce-wraparound keystream reuse a long-running network would
+// otherwise hit at round 65,536.
 func (in *Instance) advanceRound() uint16 {
 	in.round++
 	if era := in.round >> 16; era != in.era {
 		in.era = era
-		in.ciphers.Reset(linksec.EraKeys(in.Keys, era), in.Cfg.Suite)
+		in.ciphers.Reset(linksec.EraKeys(in.Keys, era))
 	}
 	return uint16(in.round)
 }
@@ -1179,7 +1109,7 @@ func (in *Instance) collectSlices(round uint16, src topology.NodeID, color packe
 		}
 		in.sealReqs = append(in.sealReqs, linksec.SealReq{
 			Src: src, Dst: dst,
-			Nonce: sliceNonce(round, src, dst, idx),
+			Nonce: linksec.SliceNonce(round, src, dst, idx),
 			Value: shares[idx],
 		})
 		in.sealColors = append(in.sealColors, color)

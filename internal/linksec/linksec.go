@@ -14,14 +14,13 @@
 //     the same pool key can decrypt the link — the first privacy-violation
 //     path of Section IV-A.3.
 //
-// Payload encryption is an authenticated 8-byte stream cipher with two
-// interchangeable keystream suites (see Suite): the default batched
-// AES-CTR engine — a single-key Even–Mansour cipher over one shared AES
-// permutation, so crypto/aes uses hardware AES instructions where present
-// while rekeying a link costs only a 16-byte key copy — and the original
-// SHA-256-PRF construction kept as a byte-exact compat mode. Either way
-// the model is the same and honest: confidentiality and integrity of a
-// 64-bit additive share per frame.
+// Payload encryption is an authenticated 8-byte stream cipher (see
+// Cipher): AES-CTR keystream plus a single-block AES-PRF tag, under a
+// single-key Even–Mansour cipher over one shared AES permutation, so
+// crypto/aes uses hardware AES instructions where present while rekeying
+// a link costs only a 16-byte key copy. The model is simple and honest:
+// confidentiality and integrity of a 64-bit additive share per frame. Key
+// derivation stays on a SHA-256 PRF.
 package linksec
 
 import (
@@ -31,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -42,52 +40,6 @@ const KeySize = 16
 
 // Key is a symmetric link key.
 type Key [KeySize]byte
-
-// Suite selects the keystream/tag primitive a Cipher seals with. The wire
-// format (Sealed, SealedSize) is suite-independent; only the ciphertext
-// and tag bytes differ. Protocol results never depend on those bytes —
-// frame sizes are fixed and authentication failures occur only under
-// active tampering — so switching suites re-blesses no experiment table.
-type Suite uint8
-
-const (
-	// SuiteAESCTR is the default hot path: AES-CTR keystream (one block
-	// encrypts the nonce pair 2k, 2k+1) with a single-block AES-PRF tag,
-	// both served from a per-link keystream-block cache. The per-link
-	// cipher is single-key Even–Mansour over one process-wide AES
-	// permutation, EM_K(x) = K ⊕ AES_π(x ⊕ K) with π fixed and public —
-	// so every link shares the one expanded round-key schedule and
-	// rekeying is a plain key copy, which is what keeps arena-pooled
-	// trials with fresh key material allocation-free.
-	SuiteAESCTR Suite = iota
-	// SuiteSHA256 is the original SHA-256-PRF construction, kept as a
-	// compat mode byte-identical to the package-level Seal/Open.
-	SuiteSHA256
-)
-
-// String returns the flag spelling of the suite.
-func (s Suite) String() string {
-	switch s {
-	case SuiteAESCTR:
-		return "aes"
-	case SuiteSHA256:
-		return "sha256"
-	default:
-		return fmt.Sprintf("Suite(%d)", uint8(s))
-	}
-}
-
-// ParseSuite parses a -cipher flag value.
-func ParseSuite(name string) (Suite, error) {
-	switch name {
-	case "aes", "aes-ctr", "aesctr":
-		return SuiteAESCTR, nil
-	case "sha256", "sha-256":
-		return SuiteSHA256, nil
-	default:
-		return 0, fmt.Errorf("linksec: unknown cipher suite %q (want aes or sha256)", name)
-	}
-}
 
 // Scheme is a key-management scheme: it answers whether two nodes share a
 // key and what it is.
@@ -150,8 +102,8 @@ func (p *Pairwise) SharedKey(a, b topology.NodeID) (Key, bool) {
 // EraScheme derives era-qualified link keys over an inner scheme. The
 // protocol engines carry only the low 16 bits of their cumulative round
 // counter in the wire nonce, so a long-running network would repeat
-// (key, nonce) pairs every 65,536 rounds — keystream reuse under the AES
-// suite. Instead of widening the wire format, the engines rotate the key
+// (key, nonce) pairs every 65,536 rounds — keystream reuse under the
+// stream cipher. Instead of widening the wire format, the engines rotate the key
 // era whenever the counter crosses a 16-bit boundary: every link key is
 // re-derived from (inner key, era), which re-partitions the nonce space
 // by construction. Which pairs share a key is decided entirely by the
@@ -435,41 +387,6 @@ type Sealed struct {
 // ErrAuth is returned when a sealed payload fails authentication.
 var ErrAuth = errors.New("linksec: authentication failed")
 
-// Seal encrypts an int64 additive share under key with the given nonce.
-// Nonces must be unique per key; the protocol uses (round, sender, index).
-func Seal(key Key, nonce uint32, value int64) Sealed {
-	ks := prf("stream", binary.BigEndian.Uint64(key[:8]), binary.BigEndian.Uint64(key[8:]), uint64(nonce))
-	var out Sealed
-	out.Nonce = nonce
-	binary.BigEndian.PutUint64(out.Cipher[:], uint64(value)^binary.BigEndian.Uint64(ks[:8]))
-	out.Tag = tag(key, nonce, out.Cipher)
-	return out
-}
-
-// Open decrypts and authenticates a sealed payload.
-func Open(key Key, s Sealed) (int64, error) {
-	if tag(key, s.Nonce, s.Cipher) != s.Tag {
-		return 0, ErrAuth
-	}
-	ks := prf("stream", binary.BigEndian.Uint64(key[:8]), binary.BigEndian.Uint64(key[8:]), uint64(s.Nonce))
-	return int64(binary.BigEndian.Uint64(s.Cipher[:]) ^ binary.BigEndian.Uint64(ks[:8])), nil
-}
-
-func tag(key Key, nonce uint32, cipher [8]byte) uint32 {
-	d := prf("tag",
-		binary.BigEndian.Uint64(key[:8]),
-		binary.BigEndian.Uint64(key[8:]),
-		uint64(nonce),
-		binary.BigEndian.Uint64(cipher[:]))
-	return binary.BigEndian.Uint32(d[:4])
-}
-
-// PRF labels, precomputed so the hot path writes constant byte slices.
-var (
-	streamLabel = []byte("stream")
-	tagLabel    = []byte("tag")
-)
-
 // SealedSize is the wire length of one sealed share as produced by
 // Cipher.EncryptTo: 8-byte ciphertext, 4-byte nonce, 4-byte tag.
 const SealedSize = 16
@@ -478,18 +395,31 @@ const SealedSize = 16
 // share.
 var ErrShort = errors.New("linksec: sealed payload truncated")
 
+// SliceNonce builds the nonce of one slice: round<<8 | dir<<7 | idx, where
+// dir is set when src > dst, so the two directions of a shared link key
+// never reuse a keystream. round is the wire round — the low 16 bits of
+// an engine's cumulative counter — so the nonce alone repeats every
+// 65,536 rounds; the engines rotate the key era (EraKeys) at that
+// boundary, which makes (era, nonce) injective by construction.
+func SliceNonce(round uint16, src, dst topology.NodeID, idx int) uint32 {
+	dir := uint32(0)
+	if src > dst {
+		dir = 0x80
+	}
+	return uint32(round)<<8 | dir | uint32(idx&0x7f)
+}
+
 // ksSlots is the size of the per-Cipher direct-mapped keystream-block
-// cache. Slice nonces are round<<8 | dir<<7 | idx, so a block counter
-// ctr = nonce>>1 carries the direction bit at bit 6 and idx>>1 in its low
-// bits; the slot map gives each direction its own half of the cache and
-// covers idx 0..7 without conflict — the paper's operating points use
-// idx 0..3. Rounds alias (the round bits are above the slot map), which
-// is why Cipher.Warm only ever runs one round ahead: blocks warmed for
-// the next round land in exactly the slots that round will read, with no
-// intervening traffic to evict them. Collisions only cost a recompute.
-// Kept small deliberately: arena-pooled sweeps hold one Cipher per link
-// of every deployment, so cache bytes multiply by hundreds of thousands
-// of instances.
+// cache. Under the SliceNonce layout a block counter ctr = nonce>>1
+// carries the direction bit at bit 6 and idx>>1 in its low bits; the slot
+// map gives each direction its own half of the cache and covers idx 0..7
+// without conflict — the paper's operating points use idx 0..3. Rounds
+// alias (the round bits are above the slot map), which costs nothing: a
+// block is reused within its round (the paired nonce, the Open matching
+// a Seal, an ARQ retransmit), never across rounds. Collisions only cost a
+// recompute. Kept small deliberately: arena-pooled sweeps hold one Cipher
+// per link of every deployment, so cache bytes multiply by hundreds of
+// thousands of instances.
 const ksSlots = 8
 
 func ksSlot(ctr uint32) int { return int((ctr>>6)&1)<<2 | int(ctr&3) }
@@ -503,7 +433,7 @@ const (
 )
 
 // emPerm is the fixed, public AES-128 permutation π of the Even–Mansour
-// construction every SuiteAESCTR cipher seals with. One expanded round-key
+// construction every Cipher seals with. One expanded round-key
 // schedule serves the whole process; per-link secrecy comes entirely from
 // the pre/post-whitening link key. The key bytes below are a published
 // constant, not a secret.
@@ -518,25 +448,27 @@ func init() {
 	emPerm = b
 }
 
-// Cipher is a reusable sealing state bound to one link key and suite. It
-// keeps its primitive state (Even–Mansour whitening words or SHA-256
-// hasher), scratch buffers, and a keystream-block cache alive across calls, so
-// steady-state sealing performs no allocation and a Seal immediately
-// followed by the matching Open — the common case, since one shared
-// CipherCache serves both endpoints of a simulated link — reuses the
-// keystream block instead of recomputing it. In SHA-256 compat mode the
-// output is byte-identical to the package-level Seal/Open. A Cipher is not
+// Cipher is a reusable sealing state bound to one link key: AES-CTR
+// keystream (one block encrypts the nonce pair 2k, 2k+1) with a
+// single-block AES-PRF tag. The per-link cipher is single-key Even–Mansour
+// over one process-wide AES permutation, EM_K(x) = K ⊕ AES_π(x ⊕ K) with π
+// fixed and public — so every link shares the one expanded round-key
+// schedule and rekeying is a plain key copy, which is what keeps
+// arena-pooled trials with fresh key material allocation-free. A Cipher
+// keeps its whitening words, scratch blocks and a keystream-block cache
+// alive across calls, so steady-state sealing performs no allocation and
+// a Seal immediately followed by the matching Open — the common case,
+// since one shared CipherCache serves both endpoints of a simulated link
+// — reuses the keystream block instead of recomputing it. A Cipher is not
 // safe for concurrent use; protocol instances hold one per link (see
 // CipherCache).
 type Cipher struct {
-	key   Key
-	suite Suite
+	key Key
 
-	// AES-CTR state: the shared Even–Mansour permutation, the link key as
-	// two whitening words, and the direct-mapped keystream-block cache
-	// (two 8-byte words per block, keyed by ctr = nonce>>1; ksTag stores
-	// ctr+1 so the zero value means empty). Fixed arrays keep the cache
-	// off the heap.
+	// The shared Even–Mansour permutation, the link key as two whitening
+	// words, and the direct-mapped keystream-block cache (two 8-byte words
+	// per block, keyed by ctr = nonce>>1; ksTag stores ctr+1 so the zero
+	// value means empty). Fixed arrays keep the cache off the heap.
 	block        cipher.Block
 	keyLo, keyHi uint64
 	ksTag        [ksSlots]uint32
@@ -544,88 +476,34 @@ type Cipher struct {
 	ksHi         [ksSlots]uint64
 	bin          [aes.BlockSize]byte
 	bout         [aes.BlockSize]byte
-
-	// SHA-256 compat state, allocated on first SHA use so the default
-	// suite — whose instances number one per link per pooled arena —
-	// doesn't carry hasher state it never touches.
-	sha *shaState
 }
 
-// shaState is the SuiteSHA256 half of a Cipher: the hasher, a one-entry
-// keystream memo serving the Seal→Open pattern the AES cache handles
-// structurally, and staging buffers — arrays passed to an interface
-// method would escape to the heap each call, so the hot path stages
-// words in the (already heap-resident) state instead.
-type shaState struct {
-	h         hash.Hash
-	memoNonce uint32
-	memoOK    bool
-	memoKS    uint64
-	word      [8]byte
-	ct        [8]byte
-	scratch   [sha256.Size]byte
-}
-
-// NewCipher creates a reusable cipher state for key under the suite.
-func NewCipher(suite Suite, key Key) *Cipher {
-	c := &Cipher{suite: suite, key: key}
-	c.initSuite()
+// NewCipher creates a reusable cipher state for key.
+func NewCipher(key Key) *Cipher {
+	c := &Cipher{}
+	c.rekey(key)
 	return c
 }
 
-// initSuite builds the primitive state the current suite needs. Nothing
-// here allocates in steady state: the AES suite binds the shared
-// permutation and splits the key into whitening words, and the SHA suite
-// reuses any hasher the cipher already owns.
-func (c *Cipher) initSuite() {
-	c.keyLo = binary.BigEndian.Uint64(c.key[:8])
-	c.keyHi = binary.BigEndian.Uint64(c.key[8:])
-	switch c.suite {
-	case SuiteAESCTR:
-		c.block = emPerm
-	default:
-		if c.sha == nil {
-			c.sha = &shaState{h: sha256.New()}
-		}
+// rekey rebinds the cipher to key: a pure state update — key copy,
+// whitening-word split, keystream-cache invalidation — with no primitive
+// construction, since the round-key schedule is the shared permutation's.
+// When the key is unchanged the cached keystream blocks survive too. This
+// is what makes CipherCache reuse across arena-pooled trials free even
+// when every trial derives fresh key material.
+func (c *Cipher) rekey(key Key) {
+	if c.key == key && c.block != nil {
+		return
 	}
-}
-
-// rekey rebinds the cipher to (suite, key): a pure state update — key
-// copy, whitening-word split, keystream-cache invalidation — with no
-// primitive construction, since the AES suite's round-key schedule is the
-// shared permutation's. When suite and key are unchanged the cached
-// keystream blocks survive too. This is what makes CipherCache reuse
-// across arena-pooled trials free even when every trial derives fresh key
-// material.
-func (c *Cipher) rekey(suite Suite, key Key) {
-	if c.suite == suite && c.key == key {
-		if suite == SuiteAESCTR && c.block != nil {
-			return
-		}
-		if suite != SuiteAESCTR && c.sha != nil {
-			return
-		}
-	}
-	c.suite = suite
 	c.key = key
-	if c.sha != nil {
-		c.sha.memoOK = false
-	}
+	c.block = emPerm
+	c.keyLo = binary.BigEndian.Uint64(key[:8])
+	c.keyHi = binary.BigEndian.Uint64(key[8:])
 	clear(c.ksTag[:])
-	c.initSuite()
 }
 
 // Key returns the link key this cipher seals under.
 func (c *Cipher) Key() Key { return c.key }
-
-// Suite returns the suite this cipher seals with.
-func (c *Cipher) Suite() Suite { return c.suite }
-
-// writeU64 feeds one big-endian word to the hasher without allocating.
-func (s *shaState) writeU64(v uint64) {
-	binary.BigEndian.PutUint64(s.word[:], v)
-	s.h.Write(s.word[:])
-}
 
 // aesBlock returns the two keystream words of block counter ctr, serving
 // repeats — the second seal of a nonce pair, the Open matching a Seal, an
@@ -645,69 +523,25 @@ func (c *Cipher) aesBlock(ctr uint32) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Warm precomputes and caches the AES keystream block covering nonce, so
-// a later Seal or Open of that nonce (or its pair partner 2k/2k+1) finds
-// the block resident instead of running AES on the sealing path. Warming
-// is pure cache population — it never changes what any Seal or Open
-// returns — and is the primitive under the epoch-amortized precompute of
-// the streaming pipeline: between epochs, every standing query's links
-// warm the next round's blocks. It reports whether a block was actually
-// computed; already-resident blocks and the SHA-256 suite (whose
-// keystream is not block-cached) report false.
-func (c *Cipher) Warm(nonce uint32) bool {
-	if c.suite != SuiteAESCTR {
-		return false
-	}
-	ctr := nonce >> 1
-	if c.ksTag[ksSlot(ctr)] == ctr+1 {
-		return false
-	}
-	c.aesBlock(ctr)
-	return true
-}
-
 // keystream returns the 8 keystream bytes for nonce as a uint64.
 func (c *Cipher) keystream(nonce uint32) uint64 {
-	if c.suite == SuiteAESCTR {
-		lo, hi := c.aesBlock(nonce >> 1)
-		if nonce&1 == 1 {
-			return hi
-		}
-		return lo
+	lo, hi := c.aesBlock(nonce >> 1)
+	if nonce&1 == 1 {
+		return hi
 	}
-	sh := c.sha
-	if sh.memoOK && sh.memoNonce == nonce {
-		return sh.memoKS
-	}
-	sh.h.Reset()
-	sh.h.Write(streamLabel)
-	sh.h.Write(c.key[:])
-	sh.writeU64(uint64(nonce))
-	ks := binary.BigEndian.Uint64(sh.h.Sum(sh.scratch[:0])[:8])
-	sh.memoNonce, sh.memoOK, sh.memoKS = nonce, true, ks
-	return ks
+	return lo
 }
 
 // tagOf computes the truncated authentication tag over a ciphertext.
 func (c *Cipher) tagOf(nonce uint32, cipher [8]byte) uint32 {
-	if c.suite == SuiteAESCTR {
-		binary.BigEndian.PutUint64(c.bin[:8], (aesTagLabel<<32|uint64(nonce))^c.keyLo)
-		binary.BigEndian.PutUint64(c.bin[8:16], binary.BigEndian.Uint64(cipher[:])^c.keyHi)
-		c.block.Encrypt(c.bout[:], c.bin[:])
-		return uint32((binary.BigEndian.Uint64(c.bout[:8]) ^ c.keyLo) >> 32)
-	}
-	sh := c.sha
-	sh.h.Reset()
-	sh.h.Write(tagLabel)
-	sh.h.Write(c.key[:])
-	sh.writeU64(uint64(nonce))
-	sh.ct = cipher
-	sh.h.Write(sh.ct[:])
-	return binary.BigEndian.Uint32(sh.h.Sum(sh.scratch[:0])[:4])
+	binary.BigEndian.PutUint64(c.bin[:8], (aesTagLabel<<32|uint64(nonce))^c.keyLo)
+	binary.BigEndian.PutUint64(c.bin[8:16], binary.BigEndian.Uint64(cipher[:])^c.keyHi)
+	c.block.Encrypt(c.bout[:], c.bin[:])
+	return uint32((binary.BigEndian.Uint64(c.bout[:8]) ^ c.keyLo) >> 32)
 }
 
-// Seal encrypts an int64 additive share, exactly as the package-level Seal
-// but without per-call hasher construction.
+// Seal encrypts an int64 additive share under nonce. Nonces must be unique
+// per key; the protocol engines use SliceNonce.
 func (c *Cipher) Seal(nonce uint32, value int64) Sealed {
 	var out Sealed
 	out.Nonce = nonce
@@ -763,8 +597,8 @@ type linkEntry struct {
 }
 
 // CipherCache memoizes one reusable Cipher per link over a key-management
-// Scheme, so per-round sealing reuses primitive state (hashers, keystream
-// blocks, scratch buffers) instead of re-deriving keys and rebuilding
+// Scheme, so per-round sealing reuses cipher state (whitening words,
+// keystream blocks, scratch buffers) instead of re-deriving keys and rebuilding
 // primitives per share. Negative lookups (pairs the scheme gives no key)
 // are memoized too, and HasKey memoizes the existence answer alone —
 // cipher construction and key derivation happen only on links that
@@ -772,15 +606,13 @@ type linkEntry struct {
 // generation instead of clearing the map, and a stale hit re-validates in
 // place via Cipher.rekey — when the new scheme derives the same key for
 // the link, the cached keystream blocks survive untouched, and even a
-// fresh key costs only a copy (the AES suite's round-key schedule is
-// process-wide). Entries untouched for a full generation — links of a
+// fresh key costs only a copy (the round-key schedule is process-wide). Entries untouched for a full generation — links of a
 // previous deployment's topology, in an arena cache — retire their
 // ciphers to a free pool the next deployment draws from, so a long-lived
 // cache's footprint tracks one deployment's working set, not the union
 // of all of them. Not safe for concurrent use.
 type CipherCache struct {
 	scheme Scheme
-	suite  Suite
 	gen    uint64
 	links  map[uint64]linkEntry
 	free   []*Cipher // ciphers retired from swept or negative entries
@@ -798,30 +630,26 @@ type CipherCache struct {
 // set, small enough that a tiny cache wastes little.
 const cipherSlabSize = 256
 
-// NewCipherCache creates an empty cache over scheme sealing with suite.
-func NewCipherCache(scheme Scheme, suite Suite) *CipherCache {
-	return &CipherCache{scheme: scheme, suite: suite, gen: 1, links: make(map[uint64]linkEntry)}
+// NewCipherCache creates an empty cache over scheme.
+func NewCipherCache(scheme Scheme) *CipherCache {
+	return &CipherCache{scheme: scheme, gen: 1, links: make(map[uint64]linkEntry)}
 }
 
-// Suite returns the suite ciphers in this cache seal with.
-func (cc *CipherCache) Suite() Suite { return cc.suite }
-
-// Reset rebinds the cache to a new scheme and suite and invalidates every
+// Reset rebinds the cache to a new scheme and invalidates every
 // entry by bumping the generation — entries the previous deployment used
 // stay in the map, and the next Link hit on such a stale entry re-derives
 // the link key and rekeys the resident cipher in place (retaining every
-// cached keystream block when suite and key are unchanged). Entries NOT
+// cached keystream block when the key is unchanged). Entries NOT
 // touched since the previous Reset belong to a topology two deployments
 // gone — random deployments barely overlap in link sets — so their
 // ciphers retire to the free pool and their map slots are deleted: the
 // next deployment repopulates from recycled instances instead of
 // allocating. A Cipher's observable behavior is a pure function of its
-// current (suite, key) — cached keystream blocks are invalidated on any
+// current key — cached keystream blocks are invalidated on any
 // change — so which pooled cipher serves which link never shows in the
 // output.
-func (cc *CipherCache) Reset(scheme Scheme, suite Suite) {
+func (cc *CipherCache) Reset(scheme Scheme) {
 	cc.scheme = scheme
-	cc.suite = suite
 	for id, e := range cc.links {
 		if e.okGen < cc.gen && e.keyGen < cc.gen {
 			if e.c != nil {
@@ -893,13 +721,13 @@ func (cc *CipherCache) Link(a, b topology.NodeID) (*Cipher, bool) {
 	c := e.c
 	switch {
 	case c != nil:
-		c.rekey(cc.suite, key)
+		c.rekey(key)
 	case len(cc.free) > 0:
 		n := len(cc.free)
 		c = cc.free[n-1]
 		cc.free[n-1] = nil
 		cc.free = cc.free[:n-1]
-		c.rekey(cc.suite, key)
+		c.rekey(key)
 	default:
 		if cc.slabUsed == len(cc.slab) {
 			cc.slab = make([]Cipher, cipherSlabSize)
@@ -907,9 +735,7 @@ func (cc *CipherCache) Link(a, b topology.NodeID) (*Cipher, bool) {
 		}
 		c = &cc.slab[cc.slabUsed]
 		cc.slabUsed++
-		c.suite = cc.suite
-		c.key = key
-		c.initSuite()
+		c.rekey(key)
 	}
 	cc.links[id] = linkEntry{c: c, ok: true, okGen: cc.gen, keyGen: cc.gen}
 	return c, true

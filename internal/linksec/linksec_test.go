@@ -33,12 +33,16 @@ func TestPairwiseSymmetricAndDistinct(t *testing.T) {
 	}
 }
 
+// pairCipher returns a fresh cipher over the pairwise key of (a, b).
+func pairCipher(master uint64, a, b topology.NodeID) *Cipher {
+	key, _ := NewPairwise(master).SharedKey(a, b)
+	return NewCipher(key)
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
-	s := NewPairwise(7)
-	key, _ := s.SharedKey(4, 5)
+	c := pairCipher(7, 4, 5)
 	if err := quick.Check(func(nonce uint32, value int64) bool {
-		sealed := Seal(key, nonce, value)
-		got, err := Open(key, sealed)
+		got, err := c.Open(c.Seal(nonce, value))
 		return err == nil && got == value
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -46,8 +50,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestSealIsNotIdentity(t *testing.T) {
-	key, _ := NewPairwise(7).SharedKey(1, 2)
-	sealed := Seal(key, 1, 42)
+	sealed := pairCipher(7, 1, 2).Seal(1, 42)
 	var raw [8]byte
 	raw[7] = 42
 	if sealed.Cipher == raw {
@@ -56,40 +59,68 @@ func TestSealIsNotIdentity(t *testing.T) {
 }
 
 func TestSealNonceChangesCiphertext(t *testing.T) {
-	key, _ := NewPairwise(7).SharedKey(1, 2)
-	a := Seal(key, 1, 42)
-	b := Seal(key, 2, 42)
+	c := pairCipher(7, 1, 2)
+	a := c.Seal(1, 42)
+	b := c.Seal(2, 42)
 	if a.Cipher == b.Cipher {
 		t.Fatal("same plaintext under different nonces produced same ciphertext")
 	}
 }
 
 func TestOpenRejectsTamper(t *testing.T) {
-	key, _ := NewPairwise(7).SharedKey(1, 2)
-	sealed := Seal(key, 9, 1000)
+	c := pairCipher(7, 1, 2)
+	sealed := c.Seal(9, 1000)
 	sealed.Cipher[0] ^= 1
-	if _, err := Open(key, sealed); err != ErrAuth {
+	if _, err := c.Open(sealed); err != ErrAuth {
 		t.Fatalf("tampered ciphertext: err = %v, want ErrAuth", err)
 	}
-	sealed = Seal(key, 9, 1000)
+	sealed = c.Seal(9, 1000)
 	sealed.Tag ^= 1
-	if _, err := Open(key, sealed); err != ErrAuth {
+	if _, err := c.Open(sealed); err != ErrAuth {
 		t.Fatalf("tampered tag: err = %v, want ErrAuth", err)
 	}
-	sealed = Seal(key, 9, 1000)
+	sealed = c.Seal(9, 1000)
 	sealed.Nonce++
-	if _, err := Open(key, sealed); err != ErrAuth {
+	if _, err := c.Open(sealed); err != ErrAuth {
 		t.Fatalf("tampered nonce: err = %v, want ErrAuth", err)
 	}
 }
 
 func TestOpenRejectsWrongKey(t *testing.T) {
-	s := NewPairwise(7)
-	k1, _ := s.SharedKey(1, 2)
-	k2, _ := s.SharedKey(1, 3)
-	sealed := Seal(k1, 5, 77)
-	if _, err := Open(k2, sealed); err != ErrAuth {
+	sealed := pairCipher(7, 1, 2).Seal(5, 77)
+	if _, err := pairCipher(7, 1, 3).Open(sealed); err != ErrAuth {
 		t.Fatalf("wrong key accepted: %v", err)
+	}
+}
+
+// TestSealKnownAnswer pins the wire bytes: ciphertext and tag for a fixed
+// key and value under an even nonce (the low keystream word of its CTR
+// block) and an odd one with the direction bit set (a high word). Any
+// change to the Even–Mansour permutation, the domain labels, the block
+// layout or the tag truncation changes these bytes.
+func TestSealKnownAnswer(t *testing.T) {
+	var key Key
+	for i := range key {
+		key[i] = byte(0xa0 + i)
+	}
+	c := NewCipher(key)
+	for _, v := range []struct {
+		nonce  uint32
+		cipher uint64
+		tag    uint32
+	}{
+		{0x00012a02, 0x00ca94eb8238b0a1, 0x99801ddd},
+		{0x00012a83, 0xff7e0968e17bedc1, 0x42c252d6},
+	} {
+		s := c.Seal(v.nonce, -123456789)
+		if got := binary.BigEndian.Uint64(s.Cipher[:]); got != v.cipher || s.Tag != v.tag || s.Nonce != v.nonce {
+			t.Errorf("nonce %#08x: cipher %#016x tag %#08x, want %#016x %#08x", v.nonce, got, s.Tag, v.cipher, v.tag)
+		}
+	}
+	// The key derivation feeding it is pinned too.
+	pk, _ := NewPairwise(7).SharedKey(4, 5)
+	if want := (Key{0x31, 0xad, 0x3a, 0x79, 0xb0, 0x23, 0xc6, 0xc1, 0x3b, 0xbd, 0x2b, 0x21, 0x52, 0xc7, 0x06, 0xce}); pk != want {
+		t.Errorf("pairwise key %x, want %x", pk, want)
 	}
 }
 
@@ -319,8 +350,8 @@ func TestQCompositeRoundTripWithSeal(t *testing.T) {
 			if !ok {
 				continue
 			}
-			sealed := Seal(key, 5, 1234)
-			got, err := Open(key, sealed)
+			c := NewCipher(key)
+			got, err := c.Open(c.Seal(5, 1234))
 			if err != nil || got != 1234 {
 				t.Fatalf("seal/open under q-composite key failed: %v %d", err, got)
 			}
@@ -348,100 +379,64 @@ func TestNewRandomPredistValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkSealOpen(b *testing.B) {
-	key, _ := NewPairwise(7).SharedKey(1, 2)
-	for i := 0; i < b.N; i++ {
-		s := Seal(key, uint32(i), int64(i))
-		if _, err := Open(key, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestCipherMatchesPackageSeal(t *testing.T) {
-	// The reusable Cipher must be byte-identical to the package-level
-	// Seal/Open so migrating a protocol onto it cannot change any table.
-	key, _ := NewPairwise(7).SharedKey(4, 5)
-	c := NewCipher(SuiteSHA256, key)
-	if err := quick.Check(func(nonce uint32, value int64) bool {
-		want := Seal(key, nonce, value)
-		got := c.Seal(nonce, value)
-		if got != want {
-			return false
-		}
-		v1, err1 := Open(key, got)
-		v2, err2 := c.Open(got)
-		return err1 == nil && err2 == nil && v1 == value && v2 == value
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if c.Key() != key {
-		t.Fatal("Key() mismatch")
-	}
-}
-
 func TestEncryptToDecryptTo(t *testing.T) {
-	for _, suite := range []Suite{SuiteAESCTR, SuiteSHA256} {
-		t.Run(suite.String(), func(t *testing.T) {
-			key, _ := NewPairwise(9).SharedKey(1, 2)
-			c := NewCipher(suite, key)
-			buf := c.EncryptTo(nil, 77, -123456)
-			if len(buf) != SealedSize {
-				t.Fatalf("EncryptTo appended %d bytes, want %d", len(buf), SealedSize)
+	// The link cipher is AES-based; the subtest is named for it.
+	t.Run("aes", func(t *testing.T) {
+		c := pairCipher(9, 1, 2)
+		buf := c.EncryptTo(nil, 77, -123456)
+		if len(buf) != SealedSize {
+			t.Fatalf("EncryptTo appended %d bytes, want %d", len(buf), SealedSize)
+		}
+		got, err := c.DecryptTo(buf)
+		if err != nil || got != -123456 {
+			t.Fatalf("DecryptTo = %d, %v", got, err)
+		}
+		// The wire form matches the Sealed struct layout.
+		s := c.Seal(77, -123456)
+		var want []byte
+		want = append(want, s.Cipher[:]...)
+		want = binary.BigEndian.AppendUint32(want, s.Nonce)
+		want = binary.BigEndian.AppendUint32(want, s.Tag)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("wire form %x, want %x", buf, want)
+		}
+		// Tampering any byte must fail authentication.
+		for i := 0; i < SealedSize; i++ {
+			tampered := append([]byte(nil), buf...)
+			tampered[i] ^= 0x40
+			if _, err := c.DecryptTo(tampered); err == nil {
+				t.Fatalf("tampered byte %d accepted", i)
 			}
-			got, err := c.DecryptTo(buf)
-			if err != nil || got != -123456 {
-				t.Fatalf("DecryptTo = %d, %v", got, err)
-			}
-			// The wire form matches the Sealed struct layout.
-			s := c.Seal(77, -123456)
-			var want []byte
-			want = append(want, s.Cipher[:]...)
-			want = binary.BigEndian.AppendUint32(want, s.Nonce)
-			want = binary.BigEndian.AppendUint32(want, s.Tag)
-			if !bytes.Equal(buf, want) {
-				t.Fatalf("wire form %x, want %x", buf, want)
-			}
-			// Tampering any byte must fail authentication.
-			for i := 0; i < SealedSize; i++ {
-				tampered := append([]byte(nil), buf...)
-				tampered[i] ^= 0x40
-				if _, err := c.DecryptTo(tampered); err == nil {
-					t.Fatalf("tampered byte %d accepted", i)
-				}
-			}
-			if _, err := c.DecryptTo(buf[:SealedSize-1]); err != ErrShort {
-				t.Fatalf("short buffer error = %v, want ErrShort", err)
-			}
-		})
-	}
+		}
+		if _, err := c.DecryptTo(buf[:SealedSize-1]); err != ErrShort {
+			t.Fatalf("short buffer error = %v, want ErrShort", err)
+		}
+	})
 }
 
 func TestEncryptToAllocFree(t *testing.T) {
-	for _, suite := range []Suite{SuiteAESCTR, SuiteSHA256} {
-		t.Run(suite.String(), func(t *testing.T) {
-			key, _ := NewPairwise(11).SharedKey(1, 2)
-			c := NewCipher(suite, key)
-			buf := make([]byte, 0, SealedSize)
-			buf = c.EncryptTo(buf, 1, 1) // warm
-			nonce := uint32(0)
-			allocs := testing.AllocsPerRun(200, func() {
-				nonce++
-				buf = c.EncryptTo(buf[:0], nonce, int64(nonce)*3)
-			})
-			if allocs != 0 {
-				t.Fatalf("EncryptTo allocated %v per op, want 0", allocs)
-			}
-			allocs = testing.AllocsPerRun(200, func() {
-				if _, err := c.DecryptTo(buf); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("DecryptTo allocated %v per op, want 0", allocs)
+	// The link cipher is AES-based; the subtest is named for it.
+	t.Run("aes", func(t *testing.T) {
+		c := pairCipher(11, 1, 2)
+		buf := make([]byte, 0, SealedSize)
+		buf = c.EncryptTo(buf, 1, 1) // warm
+		nonce := uint32(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			nonce++
+			buf = c.EncryptTo(buf[:0], nonce, int64(nonce)*3)
+		})
+		if allocs != 0 {
+			t.Fatalf("EncryptTo allocated %v per op, want 0", allocs)
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := c.DecryptTo(buf); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("DecryptTo allocated %v per op, want 0", allocs)
+		}
+	})
 }
 
 // noKeyScheme shares a key only between even-numbered nodes.
@@ -455,7 +450,7 @@ func (s noKeyScheme) SharedKey(a, b topology.NodeID) (Key, bool) {
 }
 
 func TestCipherCache(t *testing.T) {
-	cc := NewCipherCache(noKeyScheme{NewPairwise(5)}, SuiteAESCTR)
+	cc := NewCipherCache(noKeyScheme{NewPairwise(5)})
 	c1, ok := cc.Link(2, 4)
 	if !ok || c1 == nil {
 		t.Fatal("keyed pair got no cipher")
@@ -492,48 +487,29 @@ func (b countingBlock) Encrypt(dst, src []byte) {
 	b.Block.Encrypt(dst, src)
 }
 
-func TestSuitesRoundTripAndRejectTampering(t *testing.T) {
-	// Cross-suite vectors: both suites must round-trip every value and
-	// reject any single-field tamper; their outputs must differ (i.e. the
-	// suites are really distinct constructions over the same wire format).
-	key, _ := NewPairwise(21).SharedKey(3, 8)
-	aes := NewCipher(SuiteAESCTR, key)
-	sha := NewCipher(SuiteSHA256, key)
+func TestSealRoundTripAndRejectTampering(t *testing.T) {
+	// Every value must round-trip, and any single-field tamper must fail
+	// authentication.
+	c := pairCipher(21, 3, 8)
 	if err := quick.Check(func(nonce uint32, value int64) bool {
-		sa := aes.Seal(nonce, value)
-		ss := sha.Seal(nonce, value)
-		va, ea := aes.Open(sa)
-		vs, es := sha.Open(ss)
-		if ea != nil || es != nil || va != value || vs != value {
+		s := c.Seal(nonce, value)
+		if v, err := c.Open(s); err != nil || v != value {
 			return false
 		}
-		// Cross-opening the other suite's sealed share must fail auth.
-		if _, err := aes.Open(ss); err != ErrAuth {
+		bad := s
+		bad.Cipher[3] ^= 1
+		if _, err := c.Open(bad); err != ErrAuth {
 			return false
 		}
-		if _, err := sha.Open(sa); err != ErrAuth {
+		bad = s
+		bad.Nonce ^= 4
+		if _, err := c.Open(bad); err != ErrAuth {
 			return false
 		}
-		// Tampered ciphertext, nonce, or tag must fail on both.
-		for _, c := range []*Cipher{aes, sha} {
-			s := c.Seal(nonce, value)
-			bad := s
-			bad.Cipher[3] ^= 1
-			if _, err := c.Open(bad); err != ErrAuth {
-				return false
-			}
-			bad = s
-			bad.Nonce ^= 4
-			if _, err := c.Open(bad); err != ErrAuth {
-				return false
-			}
-			bad = s
-			bad.Tag ^= 0x8000
-			if _, err := c.Open(bad); err != ErrAuth {
-				return false
-			}
-		}
-		return true
+		bad = s
+		bad.Tag ^= 0x8000
+		_, err := c.Open(bad)
+		return err == ErrAuth
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -543,8 +519,7 @@ func TestOpenReusesSealKeystreamBlock(t *testing.T) {
 	// A Seal immediately followed by the matching Open (the shared-cache
 	// common case, and the ARQ retransmit pattern) must not re-encrypt the
 	// CTR block: only the tag block costs an AES call.
-	key, _ := NewPairwise(13).SharedKey(1, 2)
-	c := NewCipher(SuiteAESCTR, key)
+	c := pairCipher(13, 1, 2)
 	var n int
 	c.block = countingBlock{c.block, &n}
 	s := c.Seal(0x1234, -99)
@@ -566,92 +541,73 @@ func TestOpenReusesSealKeystreamBlock(t *testing.T) {
 	}
 }
 
-func TestSHA256OpenMemoizesSealKeystream(t *testing.T) {
-	key, _ := NewPairwise(13).SharedKey(3, 4)
-	c := NewCipher(SuiteSHA256, key)
-	s := c.Seal(42, 1000)
-	if !c.sha.memoOK || c.sha.memoNonce != 42 {
-		t.Fatal("Seal did not memoize its keystream")
-	}
-	if v, err := c.Open(s); err != nil || v != 1000 {
-		t.Fatalf("Open = %d, %v", v, err)
-	}
-	// The memo must be bound to the key: rekeying invalidates it.
-	k2, _ := NewPairwise(14).SharedKey(3, 4)
-	c.rekey(SuiteSHA256, k2)
-	if c.sha.memoOK {
-		t.Fatal("rekey kept a stale keystream memo")
-	}
-}
-
 func TestSealBatchMatchesSeal(t *testing.T) {
-	for _, suite := range []Suite{SuiteAESCTR, SuiteSHA256} {
-		t.Run(suite.String(), func(t *testing.T) {
-			scheme := noKeyScheme{NewPairwise(31)}
-			cc := NewCipherCache(scheme, suite)
-			ref := NewCipherCache(scheme, suite)
-			var reqs []SealReq
-			for i := 0; i < 40; i++ {
-				reqs = append(reqs, SealReq{
-					Src:   topology.NodeID(i % 5 * 2), // even = keyed
-					Dst:   topology.NodeID(i%3*2 + 6),
-					Nonce: uint32(i),
-					Value: int64(i) * 1001,
-				})
+	// The link cipher is AES-based; the subtest is named for it.
+	t.Run("aes", func(t *testing.T) {
+		scheme := noKeyScheme{NewPairwise(31)}
+		cc := NewCipherCache(scheme)
+		ref := NewCipherCache(scheme)
+		var reqs []SealReq
+		for i := 0; i < 40; i++ {
+			reqs = append(reqs, SealReq{
+				Src:   topology.NodeID(i % 5 * 2), // even = keyed
+				Dst:   topology.NodeID(i%3*2 + 6),
+				Nonce: uint32(i),
+				Value: int64(i) * 1001,
+			})
+		}
+		// A keyless pair must come back OK=false, not crash.
+		reqs = append(reqs, SealReq{Src: 1, Dst: 2, Nonce: 7, Value: 7})
+		cc.SealBatch(reqs)
+		opens := make([]OpenReq, 0, len(reqs))
+		for i := range reqs {
+			r := &reqs[i]
+			if r.Src == r.Dst {
+				continue
 			}
-			// A keyless pair must come back OK=false, not crash.
-			reqs = append(reqs, SealReq{Src: 1, Dst: 2, Nonce: 7, Value: 7})
-			cc.SealBatch(reqs)
-			opens := make([]OpenReq, 0, len(reqs))
-			for i := range reqs {
-				r := &reqs[i]
-				if r.Src == r.Dst {
-					continue
+			c, ok := ref.Link(r.Src, r.Dst)
+			if !ok {
+				if r.OK {
+					t.Fatalf("req %d: sealed without a key", i)
 				}
-				c, ok := ref.Link(r.Src, r.Dst)
-				if !ok {
-					if r.OK {
-						t.Fatalf("req %d: sealed without a key", i)
-					}
-					continue
-				}
-				if !r.OK {
-					t.Fatalf("req %d: OK=false for keyed pair", i)
-				}
-				if want := c.Seal(r.Nonce, r.Value); r.Sealed != want {
-					t.Fatalf("req %d: batch sealed %+v, want %+v", i, r.Sealed, want)
-				}
-				opens = append(opens, OpenReq{Src: r.Src, Dst: r.Dst, Sealed: r.Sealed})
+				continue
 			}
-			opens = append(opens, OpenReq{Src: 1, Dst: 2})
-			cc.OpenBatch(opens)
-			for i := range opens {
-				r := &opens[i]
-				if r.Src == 1 && r.Dst == 2 {
-					if r.Err != ErrNoKey {
-						t.Fatalf("keyless open err = %v, want ErrNoKey", r.Err)
-					}
-					continue
-				}
-				if r.Err != nil {
-					t.Fatalf("open %d: %v", i, r.Err)
-				}
+			if !r.OK {
+				t.Fatalf("req %d: OK=false for keyed pair", i)
 			}
-		})
-	}
+			if want := c.Seal(r.Nonce, r.Value); r.Sealed != want {
+				t.Fatalf("req %d: batch sealed %+v, want %+v", i, r.Sealed, want)
+			}
+			opens = append(opens, OpenReq{Src: r.Src, Dst: r.Dst, Sealed: r.Sealed})
+		}
+		opens = append(opens, OpenReq{Src: 1, Dst: 2})
+		cc.OpenBatch(opens)
+		for i := range opens {
+			r := &opens[i]
+			if r.Src == 1 && r.Dst == 2 {
+				if r.Err != ErrNoKey {
+					t.Fatalf("keyless open err = %v, want ErrNoKey", r.Err)
+				}
+				continue
+			}
+			if r.Err != nil {
+				t.Fatalf("open %d: %v", i, r.Err)
+			}
+		}
+	})
 }
 
 func TestCipherCacheResetRetainsSchedules(t *testing.T) {
-	// Arena reuse: Reset to the same scheme and suite must not rebuild AES
+	// Arena reuse: Reset to the same scheme must not rebuild AES
 	// round-key schedules (or anything else) — steady-state re-deployment
 	// performs zero allocations and keeps the same cipher instances.
 	scheme := NewPairwise(77)
-	cc := NewCipherCache(scheme, SuiteAESCTR)
+	cc := NewCipherCache(scheme)
 	c1, _ := cc.Link(1, 2)
 	b1 := c1.block
 	s1 := c1.Seal(9, 42)
 	allocs := testing.AllocsPerRun(100, func() {
-		cc.Reset(scheme, SuiteAESCTR)
+		cc.Reset(scheme)
 		if c, ok := cc.Link(1, 2); !ok || c != c1 {
 			t.Fatal("Reset dropped the pooled cipher")
 		}
@@ -668,8 +624,8 @@ func TestCipherCacheResetRetainsSchedules(t *testing.T) {
 	if got := c1.Seal(9, 42); got != s1 {
 		t.Fatalf("post-Reset seal %+v, want %+v", got, s1)
 	}
-	// Suite or scheme changes must rebind: same instance, new behavior.
-	cc.Reset(NewPairwise(78), SuiteAESCTR)
+	// Scheme changes must rebind: same instance, new behavior.
+	cc.Reset(NewPairwise(78))
 	c2, _ := cc.Link(1, 2)
 	if c2 != c1 {
 		t.Fatal("rekey should reuse the resident cipher instance")
@@ -681,45 +637,18 @@ func TestCipherCacheResetRetainsSchedules(t *testing.T) {
 	if got := c2.Seal(9, 42); got == s1 {
 		t.Fatal("seal unchanged after rekey")
 	}
-	cc.Reset(NewPairwise(78), SuiteSHA256)
-	c3, _ := cc.Link(1, 2)
-	if c3.Suite() != SuiteSHA256 {
-		t.Fatal("suite change not applied")
-	}
-	if got := Seal(want, 9, 42); c3.Seal(9, 42) != got {
-		t.Fatal("SHA-256 mode after suite switch is not byte-identical to package Seal")
-	}
 }
 
 // BenchmarkPRFKeystream measures one seal+open cycle on a reusable Cipher
-// under the default AES-CTR suite (incrementing nonces, so each pair of
-// seals shares one CTR block and each open hits the cache). History:
-// 933.4 ns/op (package-level Seal/Open), 408.0 ns/op (reusable SHA-256
-// Cipher, kept below as BenchmarkPRFKeystreamSHA256).
+// (incrementing nonces, so each pair of seals shares one CTR block and
+// each open hits the cache). History: 933.4 ns/op (SHA-256-PRF package
+// Seal/Open), 408.0 ns/op (reusable SHA-256 Cipher), both since removed.
 func BenchmarkPRFKeystream(b *testing.B) {
 	var key Key
 	for i := range key {
 		key[i] = byte(i)
 	}
-	c := NewCipher(SuiteAESCTR, key)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sealed := c.Seal(uint32(i), int64(i)*3)
-		if _, err := c.Open(sealed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPRFKeystreamSHA256 is the same cycle on the SHA-256 compat
-// suite — the pre-PR hot path, kept for the perf trajectory.
-func BenchmarkPRFKeystreamSHA256(b *testing.B) {
-	var key Key
-	for i := range key {
-		key[i] = byte(i)
-	}
-	c := NewCipher(SuiteSHA256, key)
+	c := NewCipher(key)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -734,7 +663,7 @@ func BenchmarkPRFKeystreamSHA256(b *testing.B) {
 // warmed cache: 8 slices across 4 links per op, the shape of one node's
 // Phase II round. ns/op is the whole batch; divide by 8 for per-seal.
 func BenchmarkSealBatch(b *testing.B) {
-	cc := NewCipherCache(NewPairwise(17), SuiteAESCTR)
+	cc := NewCipherCache(NewPairwise(17))
 	reqs := make([]SealReq, 8)
 	for i := range reqs {
 		reqs[i] = SealReq{

@@ -13,8 +13,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"github.com/ipda-sim/ipda/internal/eventsim"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
@@ -98,7 +96,6 @@ type MAC struct {
 	cfg      Config
 	rand     *rng.Stream
 	handlers []Handler
-	passive  []bool
 	queues   [][]*frameState
 	fsFree   []*frameState // recycled frame records
 	busy     []bool
@@ -200,7 +197,6 @@ func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	}
 	m.queues = resizeQueues(m.queues, n)
 	m.handlers = resizeHandlers(m.handlers, n)
-	m.passive = resizeBools(m.passive, n)
 	m.retain = resizeBools(m.retain, n)
 	m.retainBuf = resizePackets(m.retainBuf, n)
 	m.busy = resizeBools(m.busy, n)
@@ -349,14 +345,6 @@ func (m *MAC) SetHandler(id topology.NodeID, h Handler) { m.handlers[id] = h }
 // that hold the packet across events. Reset clears all retaining marks.
 func (m *MAC) SetRetaining(id topology.NodeID, retaining bool) { m.retain[id] = retaining }
 
-// SetPassive marks a node as a border mirror owned by another shard: its
-// radio presence (carrier sense, collisions, injected foreign frames) is
-// fully modelled, but this MAC never acts for it — no ACKs, no upward
-// delivery, no duplicate bookkeeping. The node's home shard does all of
-// that; reacting here too would double every response. Reset clears all
-// passive marks.
-func (m *MAC) SetPassive(id topology.NodeID, passive bool) { m.passive[id] = passive }
-
 // macObs holds the MAC's pre-resolved instrument handles; nil disables
 // instrumentation for one pointer check per event.
 type macObs struct {
@@ -408,9 +396,6 @@ func (m *MAC) QueueLen(id topology.NodeID) int { return len(m.queues[id]) }
 // copied at enqueue — the caller keeps pkt and may reuse it immediately —
 // and the MAC assigns the copy's Seq.
 func (m *MAC) Send(src topology.NodeID, pkt *packet.Packet) {
-	if m.passive[src] {
-		panic(fmt.Sprintf("mac: Send from passive mirror node %d", src))
-	}
 	m.stats.Enqueued++
 	m.seq[src]++
 	f := m.getFrame()
@@ -599,9 +584,6 @@ func (m *MAC) onBatch(frame []byte, to []topology.NodeID) {
 	}
 	if p.Kind == packet.KindAck {
 		for _, self := range to {
-			if m.passive[self] {
-				continue
-			}
 			if m.waiting[self] && p.Seq == m.awaiting[self] {
 				m.acked[self] = true
 			}
@@ -625,9 +607,6 @@ func (m *MAC) onBatch(frame []byte, to []topology.NodeID) {
 // point-to-point frame: the Dst checks inside deliver are foregone
 // conclusions here. Behavior is identical.
 func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
-	if m.passive[self] {
-		return
-	}
 	ackDst, ackSeq := p.Src, p.Seq
 	if m.ackArmed[self] {
 		m.sim.After(m.cfg.SIFS, func() { m.sendAck(self, ackDst, ackSeq) })
@@ -664,9 +643,6 @@ func (m *MAC) deliverUnicast(self topology.NodeID, p *packet.Packet) {
 // promiscuously and retransmissions must not double-deliver there either),
 // and the upward handler call. The whole path costs no allocation.
 func (m *MAC) deliver(self topology.NodeID, p *packet.Packet) {
-	if m.passive[self] {
-		return
-	}
 	if p.Dst == int32(self) {
 		// Acknowledge one SIFS later if the radio is free; a suppressed
 		// ACK just means the sender retransmits. At most one ACK can be

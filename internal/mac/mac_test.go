@@ -362,71 +362,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	New(eventsim.New(), nil, 1, Config{}, rng.New(1))
 }
 
-func TestPassiveMirrorNeverReacts(t *testing.T) {
-	// A passive node hears everything (physics) but never ACKs or delivers
-	// upward — its home shard does that. Unicast to a passive node must
-	// therefore exhaust retries with zero deliveries and zero ACKs from it.
-	net, err := topology.Grid(2, 30, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := eventsim.New()
-	med := radio.New(sim, net, radio.PaperRate)
-	m := New(sim, med, net.N(), DefaultConfig(), rng.New(11))
-	var dst topology.NodeID = 1
-	m.SetPassive(dst, true)
-	delivered := 0
-	m.SetHandler(dst, func(topology.NodeID, *packet.Packet) { delivered++ })
-	sim.At(0, func() {
-		m.Send(0, &packet.Packet{Header: packet.Header{Kind: packet.KindSlice, Src: 0, Dst: int32(dst)}})
-	})
-	sim.RunAll()
-	if delivered != 0 {
-		t.Fatalf("passive node delivered %d frames upward", delivered)
-	}
-	if st := m.Stats(); st.AcksSent != 0 || st.Dropped != 1 || st.Retries != uint64(DefaultConfig().RetryLimit) {
-		t.Fatalf("stats = %+v; want no ACKs, full retry exhaustion, one drop", st)
-	}
-}
-
-func TestPassiveSendPanics(t *testing.T) {
-	net, err := topology.Grid(2, 30, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := eventsim.New()
-	med := radio.New(sim, net, radio.PaperRate)
-	m := New(sim, med, net.N(), DefaultConfig(), rng.New(11))
-	m.SetPassive(0, true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send from a passive node did not panic")
-		}
-	}()
-	m.Send(0, &packet.Packet{Header: packet.Header{Kind: packet.KindHello, Src: 0, Dst: packet.Broadcast}})
-}
-
-func TestResetClearsPassive(t *testing.T) {
-	net, err := topology.Grid(2, 30, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := eventsim.New()
-	med := radio.New(sim, net, radio.PaperRate)
-	m := New(sim, med, net.N(), DefaultConfig(), rng.New(11))
-	m.SetPassive(1, true)
-	m.Reset(net.N(), DefaultConfig(), rng.New(11))
-	delivered := 0
-	m.SetHandler(1, func(topology.NodeID, *packet.Packet) { delivered++ })
-	sim.At(0, func() {
-		m.Send(0, &packet.Packet{Header: packet.Header{Kind: packet.KindSlice, Src: 0, Dst: 1}})
-	})
-	sim.RunAll()
-	if delivered != 1 {
-		t.Fatalf("delivered %d after Reset cleared passive, want 1", delivered)
-	}
-}
-
 // TestBatchedDeliveryAliasAndRetention pins the sharing contract of the
 // batched reception datapath: a non-retaining handler receives the MAC's
 // shared decode scratch (no per-receiver copy), while a handler marked

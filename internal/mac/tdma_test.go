@@ -159,9 +159,15 @@ func TestTDMATransmissionsStayInOwnedSlots(t *testing.T) {
 		src topology.NodeID
 		at  eventsim.Time
 	}
+	// Taps fire at the end of the air, once per hearer: back the frame's
+	// airtime out to recover its start.
 	var txs []tx
-	medium.SetTxHook(func(src topology.NodeID, _ int32, _ []byte, _ int) {
-		txs = append(txs, tx{src, sim.Now()})
+	var p packet.Packet
+	medium.AddTap(func(_, src, _ topology.NodeID, frame []byte, _ bool) {
+		if err := packet.DecodeFrame(&p, frame); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx{src, sim.Now() - medium.Duration(p.Size())})
 	})
 	for i := 0; i < net.N(); i++ {
 		m.SetHandler(topology.NodeID(i), func(topology.NodeID, *packet.Packet) {})

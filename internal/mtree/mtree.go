@@ -58,9 +58,6 @@ type Config struct {
 	AggSlot       eventsim.Time
 	// ShareSpread bounds slice magnitudes (0 = full ring).
 	ShareSpread int64
-	// Suite selects the keystream/tag primitive slices are sealed with
-	// (zero value = batched AES-CTR; see linksec.Suite).
-	Suite linksec.Suite
 	// MAC configures the link layer; the zero value selects
 	// mac.DefaultConfig(), so existing callers are unchanged.
 	MAC mac.Config
@@ -218,9 +215,9 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		clear(in.polluters)
 	}
 	if in.ciphers == nil {
-		in.ciphers = linksec.NewCipherCache(in.keys, cfg.Suite)
+		in.ciphers = linksec.NewCipherCache(in.keys)
 	} else {
-		in.ciphers.Reset(in.keys, cfg.Suite)
+		in.ciphers.Reset(in.keys)
 	}
 	if cfg.Obs != nil {
 		in.medium.SetObs(cfg.Obs)
@@ -528,7 +525,7 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 		// Rotate the key era before the wire round wraps: nonces carry
 		// only the low 16 bits of the counter (see core.advanceRound).
 		in.era = era
-		in.ciphers.Reset(linksec.EraKeys(in.keys, era), in.Cfg.Suite)
+		in.ciphers.Reset(linksec.EraKeys(in.keys, era))
 	}
 	round := uint16(in.round)
 
@@ -598,7 +595,7 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 				}
 				in.sealReqs = append(in.sealReqs, linksec.SealReq{
 					Src: id, Dst: dst,
-					Nonce: nonce(round, id, dst, t*in.Cfg.Slices+idx),
+					Nonce: linksec.SliceNonce(round, id, dst, t*in.Cfg.Slices+idx),
 					Value: shares[idx],
 				})
 			}
@@ -729,14 +726,6 @@ func (in *Instance) split(value int64) []int64 {
 		return slicing.SplitBounded(value, in.Cfg.Slices, in.Cfg.ShareSpread, in.rand)
 	}
 	return slicing.Split(value, in.Cfg.Slices, in.rand)
-}
-
-func nonce(round uint16, src, dst topology.NodeID, idx int) uint32 {
-	dir := uint32(0)
-	if src > dst {
-		dir = 0x80
-	}
-	return uint32(round)<<8 | dir | uint32(idx&0x7f)
 }
 
 // installReceivers wires one dispatch closure, shared by every node and

@@ -81,14 +81,6 @@ type Config struct {
 	// and charged for idle listening across the run's full simulated
 	// span, so Result.Joules is the network's total energy bill.
 	Meter *energy.Meter
-	// Precompute enables epoch-amortized keystream warming: before each
-	// standing-query firing, the pipeline precomputes the AES keystream
-	// blocks the firing's rounds will seal with on every candidate link
-	// (core.Instance.PrecomputeKeystreams) — the between-firing idle a
-	// real metering network would spend the work in. Behavior-neutral by
-	// construction: results are byte-identical on or off; only
-	// Result.WarmedBlocks and the placement of the AES work change.
-	Precompute bool
 }
 
 func (c Config) validate() error {
@@ -155,9 +147,6 @@ type Result struct {
 	// past 65,536 the key era has rotated at least once.
 	Rounds uint64
 	Era    uint64
-	// WarmedBlocks is the number of AES keystream blocks precomputed
-	// between firings (0 unless Config.Precompute).
-	WarmedBlocks int
 }
 
 // ReadingsPerSecond is the collection throughput in simulated time.
@@ -257,9 +246,6 @@ func (p *Pipeline) Step() error {
 			continue
 		}
 		p.fold(q)
-		if p.cfg.Precompute {
-			p.res.WarmedBlocks += p.in.PrecomputeKeystreams()
-		}
 		res, err := p.in.Run(q.spec(), p.windowed)
 		if err != nil {
 			if errors.Is(err, aggregate.ErrNoData) {

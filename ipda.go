@@ -31,7 +31,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/core"
 	"github.com/ipda-sim/ipda/internal/energy"
 	"github.com/ipda-sim/ipda/internal/fault"
-	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/metrics"
 	"github.com/ipda-sim/ipda/internal/mtree"
@@ -81,15 +80,10 @@ type Config struct {
 	// nodes with no alternate parent sit the round out instead of feeding
 	// a dead subtree.
 	Repair bool
-	// Cipher selects the link-encryption keystream suite: "aes" (the
-	// batched AES-CTR engine, the default when empty) or "sha256" (the
-	// original hash-PRF compat mode). Query results are suite-independent;
-	// the suite only changes ciphertext and tag bytes on the air.
-	Cipher string
 	// MAC selects the channel-access scheme: "csma" (the paper's
 	// contention model, the default when empty) or "tdma" (contention-free
-	// slotted access from a deterministic two-hop coloring). Unlike
-	// Cipher, this is a modelling change — TDMA retimes every
+	// slotted access from a deterministic two-hop coloring). This is a
+	// modelling change — TDMA retimes every
 	// transmission, so results legitimately differ from CSMA runs.
 	MAC string
 	// Coalesce packs each node's same-round slices into one multi-slice
@@ -133,14 +127,6 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// suite parses Config.Cipher; empty selects the AES-CTR default.
-func (c Config) suite() (linksec.Suite, error) {
-	if c.Cipher == "" {
-		return linksec.SuiteAESCTR, nil
-	}
-	return linksec.ParseSuite(c.Cipher)
-}
-
 // macScheme parses Config.MAC; empty selects CSMA.
 func (c Config) macScheme() (mac.Scheme, error) {
 	if c.MAC == "" {
@@ -151,11 +137,6 @@ func (c Config) macScheme() (mac.Scheme, error) {
 
 func (c Config) coreConfig() (core.Config, error) {
 	cfg := core.DefaultConfig()
-	suite, err := c.suite()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Suite = suite
 	scheme, err := c.macScheme()
 	if err != nil {
 		return cfg, err
@@ -447,11 +428,6 @@ type StreamConfig struct {
 	// Metered enables the per-node energy model (radio tx/rx plus idle
 	// listening over the whole span); the result then reports Joules.
 	Metered bool
-	// Precompute enables epoch-amortized keystream warming between
-	// firings (see the stream package). Behavior-neutral: results are
-	// byte-identical on or off; only StreamResult.WarmedBlocks and the
-	// placement of the AES work change.
-	Precompute bool
 }
 
 // StreamFiring is one answered firing of a standing query.
@@ -485,9 +461,6 @@ type StreamResult struct {
 	// rounds so slice nonces never repeat under one key).
 	Rounds uint64
 	KeyEra uint64
-	// WarmedBlocks counts the AES keystream blocks precomputed between
-	// firings (0 unless StreamConfig.Precompute).
-	WarmedBlocks int
 }
 
 // RunStream runs a continuous multi-epoch collection over the deployed
@@ -497,10 +470,9 @@ type StreamResult struct {
 // network's round counter keeps advancing across calls.
 func (n *Network) RunStream(cfg StreamConfig) (*StreamResult, error) {
 	scfg := stream.Config{
-		Epochs:     cfg.Epochs,
-		Interval:   cfg.Interval,
-		Readings:   cfg.Readings,
-		Precompute: cfg.Precompute,
+		Epochs:   cfg.Epochs,
+		Interval: cfg.Interval,
+		Readings: cfg.Readings,
 	}
 	for _, q := range cfg.Queries {
 		scfg.Queries = append(scfg.Queries, stream.Query{
@@ -535,7 +507,6 @@ func (n *Network) RunStream(cfg StreamConfig) (*StreamResult, error) {
 		JoulesPerReading:  res.JoulesPerReading(),
 		Rounds:            res.Rounds,
 		KeyEra:            res.Era,
-		WarmedBlocks:      res.WarmedBlocks,
 	}
 	for _, q := range res.Queries {
 		out.Firings = append(out.Firings, StreamFiring{
@@ -850,11 +821,6 @@ func DeployMultiTree(cfg Config, m int) (*MultiTreeNetwork, error) {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
 	mcfg := mtree.DefaultConfig(m)
-	suite, err := cfg.suite()
-	if err != nil {
-		return nil, fmt.Errorf("ipda: %w", err)
-	}
-	mcfg.Suite = suite
 	scheme, err := cfg.macScheme()
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
