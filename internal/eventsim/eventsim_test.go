@@ -1,6 +1,10 @@
 package eventsim
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -275,25 +279,10 @@ func TestCancelDuringRunOfLaterEvent(t *testing.T) {
 	}
 }
 
-func TestNewWithCap(t *testing.T) {
-	s := NewWithCap(8)
-	count := 0
-	for i := 0; i < 32; i++ { // exceed the prealloc to exercise growth
-		s.At(Time(i), func() { count++ })
-	}
-	s.RunAll()
-	if count != 32 {
-		t.Fatalf("fired %d of 32", count)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-}
-
 func TestScheduleAllocFree(t *testing.T) {
 	// Steady-state schedule+run must not allocate: event structs recycle
 	// through the free list.
-	s := NewWithCap(4)
+	s := New()
 	nop := func() {}
 	s.After(1, nop)
 	s.RunAll() // warm the pool
@@ -340,95 +329,269 @@ func BenchmarkEventChurn(b *testing.B) {
 	s.RunAll()
 }
 
-func TestNextAt(t *testing.T) {
+func TestBulkThenRunAllocFree(t *testing.T) {
+	// A warmed round-shaped cycle — a bulk schedule before Run, callbacks
+	// arming near-future events, a deadline that leaves part of the sorted
+	// run behind, then a second bulk merged into it — must not allocate:
+	// the staging, run and merge buffers rotate and keep their capacity.
 	s := New()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt on empty sim reported an event")
-	}
-	s.At(3, func() {})
-	s.At(1, func() {})
-	s.At(2, func() {})
-	if at, ok := s.NextAt(); !ok || at != 1 {
-		t.Fatalf("NextAt = %v, %v; want 1, true", at, ok)
-	}
-	s.RunAll()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt after drain reported an event")
-	}
-}
-
-func TestRunUntilStrictBound(t *testing.T) {
-	// RunUntil fires strictly before the limit and leaves the clock at the
-	// last fired event, NOT at the limit — so events injected afterwards
-	// with timestamps inside (now, limit) remain schedulable.
-	s := New()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
-	}
-	n := s.RunUntil(3)
-	if n != 2 || len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("RunUntil(3) fired %v (n=%d), want [1 2]", fired, n)
-	}
-	if s.Now() != 2 {
-		t.Fatalf("Now = %v after RunUntil(3); want 2 (clock must not advance to the limit)", s.Now())
-	}
-	// An event at 2.5 — between the clock and the unexecuted horizon — must
-	// be schedulable and must run before the event already queued at 3.
-	s.At(2.5, func() { fired = append(fired, 2.5) })
-	s.RunUntil(3.5)
-	if len(fired) != 4 || fired[2] != 2.5 || fired[3] != 3 {
-		t.Fatalf("after injection fired %v, want [... 2.5 3]", fired)
-	}
-}
-
-func TestRunUntilEventAtLimitStays(t *testing.T) {
-	s := New()
-	ran := false
-	s.At(5, func() { ran = true })
-	if n := s.RunUntil(5); n != 0 || ran {
-		t.Fatalf("RunUntil(5) fired the event AT the limit")
-	}
-	if s.Now() != 0 {
-		t.Fatalf("Now = %v, want 0 (nothing fired)", s.Now())
-	}
-}
-
-func TestRunAtDrainsInstant(t *testing.T) {
-	// RunAt(t) fires every event at exactly t, including events scheduled
-	// at t by the callbacks themselves, and stops before later events.
-	s := New()
-	var order []string
-	s.At(1, func() {
-		order = append(order, "a")
-		s.At(1, func() { order = append(order, "a2") }) // same instant, mid-drain
-	})
-	s.At(1, func() { order = append(order, "b") })
-	s.At(2, func() { order = append(order, "later") })
-	n := s.RunAt(1)
-	if n != 3 {
-		t.Fatalf("RunAt(1) fired %d, want 3", n)
-	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "a2" {
-		t.Fatalf("order = %v", order)
-	}
-	if s.Now() != 1 {
-		t.Fatalf("Now = %v, want 1", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (the t=2 event)", s.Pending())
-	}
-}
-
-func TestRunAtPastPanics(t *testing.T) {
-	s := New()
-	s.At(2, func() {})
-	s.RunAll()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunAt in the past did not panic")
+	nop := func() {}
+	arm := func() { s.After(0.001, nop) }
+	var hs [64]Handle
+	cycle := func() {
+		t0 := s.Now()
+		for i := 0; i < 500; i++ {
+			h := s.At(t0+Time(i%37)*0.01, arm)
+			if i%8 == 0 {
+				hs[i/8] = h
+			}
 		}
-	}()
-	s.RunAt(1)
+		for i := range hs {
+			if i%3 == 0 {
+				hs[i].Cancel()
+			}
+		}
+		s.Run(t0 + 0.2)
+		for i := 0; i < 100; i++ {
+			s.At(s.Now()+Time(i%11)*0.02, arm)
+		}
+		s.RunAll()
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // grow every rotating buffer
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("bulk/run cycle allocated %v per run, want 0", allocs)
+	}
+}
+
+// kernel is the surface the differential script drives: Sim's methods,
+// plus schedule, whose cancel func reports whether that call cancelled a
+// live event.
+type kernel interface {
+	Now() Time
+	Run(deadline Time) uint64
+	Reset()
+	Halt()
+	Pending() int
+	Fired() uint64
+	schedule(t Time, fn func()) (cancel func() bool)
+}
+
+type simKernel struct{ *Sim }
+
+func (k simKernel) schedule(t Time, fn func()) func() bool {
+	h := k.At(t, fn)
+	return func() bool {
+		was := h.Cancelled()
+		h.Cancel()
+		return h.Cancelled() && !was
+	}
+}
+
+// refSim is the differential reference for the two-tier queue: it keeps
+// every scheduled event in one list and, for each pop, sorts the live
+// (at, seq) pairs and takes the first. Clock and deadline rules mirror
+// Sim.Run.
+type refSim struct {
+	now    Time
+	seq    uint64
+	evs    []*refEvent
+	halted bool
+	fired  uint64
+}
+
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	live bool
+}
+
+func (r *refSim) Now() Time     { return r.now }
+func (r *refSim) Halt()         { r.halted = true }
+func (r *refSim) Fired() uint64 { return r.fired }
+
+func (r *refSim) schedule(t Time, fn func()) func() bool {
+	e := &refEvent{at: t, seq: r.seq, fn: fn, live: true}
+	r.seq++
+	r.evs = append(r.evs, e)
+	return func() bool {
+		was := e.live
+		e.live = false
+		return was
+	}
+}
+
+func (r *refSim) Pending() int {
+	n := 0
+	for _, e := range r.evs {
+		if e.live {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refSim) Run(deadline Time) uint64 {
+	start := r.fired
+	r.halted = false
+	for !r.halted {
+		var live []*refEvent
+		for _, e := range r.evs {
+			if e.live {
+				live = append(live, e)
+			}
+		}
+		sort.Slice(live, func(i, j int) bool {
+			if live[i].at != live[j].at {
+				return live[i].at < live[j].at
+			}
+			return live[i].seq < live[j].seq
+		})
+		if len(live) == 0 || live[0].at > deadline {
+			break
+		}
+		e := live[0]
+		e.live = false
+		r.now = e.at
+		r.fired++
+		e.fn()
+	}
+	if r.now < deadline && r.Pending() == 0 && !math.IsInf(float64(deadline), 1) {
+		r.now = deadline
+	}
+	return r.fired - start
+}
+
+func (r *refSim) Reset() {
+	for _, e := range r.evs {
+		e.live = false
+	}
+	r.now, r.seq, r.fired, r.halted = 0, 0, 0, false
+}
+
+// diffTrace drives k through a random script and returns a transcript of
+// everything observable: fire order, cancel outcomes, clock, pending and
+// fired counts. Times come from a coarse grid often enough that staged
+// entries, callback entries and entries left behind by a deadline tie
+// exactly, so the seq tie-break decides between tiers.
+func diffTrace(seed uint64, k kernel) []string {
+	rnd := rand.New(rand.NewPCG(seed, 1))
+	var out []string
+	var cancels []func() bool
+	nextID := 0
+	when := func(r *rand.Rand, span Time) Time {
+		now := k.Now()
+		switch r.IntN(4) {
+		case 0:
+			return now // same instant
+		case 1:
+			return Time(math.Ceil(float64(now)*4)/4) + Time(r.IntN(int(span*4)+1))/4 // grid tie
+		default:
+			return now + Time(r.Float64())*span
+		}
+	}
+	var schedule func(r *rand.Rand, span Time)
+	schedule = func(r *rand.Rand, span Time) {
+		id := nextID
+		nextID++
+		cancels = append(cancels, k.schedule(when(r, span), func() {
+			out = append(out, fmt.Sprintf("fire %d @%v", id, k.Now()))
+			cr := rand.New(rand.NewPCG(seed, uint64(id)+2))
+			for n := cr.IntN(3); n > 0 && nextID < 4000; n-- {
+				schedule(cr, 0.5) // MAC-like near-future events
+			}
+			if cr.IntN(5) == 0 {
+				i := cr.IntN(len(cancels))
+				out = append(out, fmt.Sprintf("  cancel %d: %v", i, cancels[i]()))
+			}
+			if cr.IntN(40) == 0 {
+				k.Halt()
+			}
+		}))
+	}
+	for step := 0; step < 12; step++ {
+		for n := rnd.IntN(60); n > 0; n-- {
+			schedule(rnd, 5) // bulk, before Run
+		}
+		for n := rnd.IntN(6); n > 0 && len(cancels) > 0; n-- {
+			i := rnd.IntN(len(cancels)) // staged, sorted-run, heap or stale
+			out = append(out, fmt.Sprintf("cancel %d: %v", i, cancels[i]()))
+		}
+		switch rnd.IntN(6) {
+		case 0:
+			k.Run(Time(math.Inf(1)))
+		case 1:
+			k.Reset()
+			out = append(out, "reset")
+			continue
+		default:
+			k.Run(k.Now() + Time(rnd.IntN(12))/4) // leaves entries behind
+		}
+		out = append(out, fmt.Sprintf("run -> now %v pending %d fired %d", k.Now(), k.Pending(), k.Fired()))
+	}
+	k.Run(Time(math.Inf(1)))
+	out = append(out, fmt.Sprintf("drain -> now %v pending %d fired %d", k.Now(), k.Pending(), k.Fired()))
+	return out
+}
+
+func TestTwoTierMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		got := diffTrace(seed, simKernel{New()})
+		want := diffTrace(seed, &refSim{})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: transcript length %d, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d line %d: got %q, reference %q", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkRoundShape measures a protocol round: about 2,000 sends are
+// scheduled before Run at uniform times over a one-second window, and
+// every fired event arms 0–2 events a few milliseconds ahead, up to a
+// chain depth of four, as the MAC's attempts, end-of-air, ACKs and ARQ
+// timeouts do. It reports ns per fired event.
+func BenchmarkRoundShape(b *testing.B) {
+	const sends, maxDepth = 2000, 4
+	s := New()
+	r := rand.New(rand.NewPCG(7, 7))
+	offsets := make([]Time, sends)
+	for i := range offsets {
+		offsets[i] = Time(r.Float64())
+	}
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 { // xorshift: cheap, allocation-free
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	var fns [maxDepth + 1]func()
+	for d := range fns {
+		d := d
+		fns[d] = func() {
+			if d == maxDepth {
+				return
+			}
+			for n := next() % 3; n > 0; n-- {
+				s.After(Time(500+next()%2500)*1e-6, fns[d+1])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		t0 := s.Now()
+		for _, o := range offsets {
+			s.At(t0+o, fns[0])
+		}
+		events += s.RunAll()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
