@@ -102,10 +102,10 @@ func main() {
 	opts.MAC = scheme
 	// Progress reporting and -metrics both read the instrumentation
 	// registry; experiment tables stay byte-identical either way.
-	var sink *obs.Sink
+	var reg *obs.Registry
 	if *progress || *metrics != "" {
-		sink = obs.NewSink()
-		opts.Obs = sink
+		reg = obs.NewRegistry()
+		opts.Obs = reg
 	}
 	// Trace collection is read-only: tables are byte-identical with and
 	// without a store attached.
@@ -147,8 +147,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ipda-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		if *progress && sink != nil {
-			reportSweeps(sink, reported)
+		if *progress && reg != nil {
+			reportSweeps(reg, reported)
 		}
 		switch *format {
 		case "csv":
@@ -181,13 +181,13 @@ func main() {
 		}
 	}
 
-	if *metrics != "" && sink != nil {
+	if *metrics != "" && reg != nil {
 		f, err := os.Create(*metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ipda-bench: metrics: %v\n", err)
 			os.Exit(1)
 		}
-		if err := sink.Reg.WriteProm(f); err != nil {
+		if err := reg.WriteProm(f); err != nil {
 			fmt.Fprintf(os.Stderr, "ipda-bench: metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -203,12 +203,12 @@ func main() {
 // completion-latency quantiles where the experiment records them. An
 // experiment may run several sweeps (one per curve); each gets its own
 // line.
-func reportSweeps(sink *obs.Sink, reported map[string]bool) {
+func reportSweeps(reg *obs.Registry, reported map[string]bool) {
 	elapsed := map[string]float64{}
 	rate := map[string]float64{}
 	latency := map[string]obs.Sample{}
 	var order []string
-	for _, s := range sink.Reg.Snapshot() {
+	for _, s := range reg.Snapshot() {
 		if len(s.Labels) != 1 || s.Labels[0].Name != "sweep" {
 			continue
 		}

@@ -105,11 +105,11 @@ type Config struct {
 	// skipping targets. Without it the trees are used as built and a dead
 	// aggregator silently severs its whole subtree.
 	Repair bool
-	// Obs is the optional instrumentation sink, threaded through the
-	// whole stack (radio, MAC, trees, energy, and the protocol phases).
+	// Obs is the optional metrics registry, threaded through the whole
+	// stack (radio, MAC, trees, energy, faults, and the protocol phases).
 	// Nil disables instrumentation; observing never alters a run's
 	// protocol behavior or its results.
-	Obs *obs.Sink
+	Obs *obs.Registry
 	// QTrace is the optional causal per-query tracer (see
 	// internal/qtrace). Every traced frame carries its causing span in
 	// the packet header's trace context, so radio airtime, MAC retries,
@@ -394,6 +394,7 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 	treeCfg.Disabled = cfg.Disabled
 	treeCfg.ExtraRoots = cfg.ExtraRoots
 	treeCfg.Obs = cfg.Obs
+	treeCfg.QTrace = cfg.QTrace
 	trees, err := in.builder.Build(in.Sim, in.Medium, in.MAC, net, treeCfg, root.Split(2))
 	if err != nil {
 		return err
@@ -455,8 +456,8 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 		in.faults = inj
 	}
 	in.obs = nil
-	if cfg.Obs != nil && cfg.Obs.Reg != nil {
-		in.obs = newCoreObs(cfg.Obs.Reg)
+	if cfg.Obs != nil {
+		in.obs = newCoreObs(cfg.Obs)
 	}
 	return nil
 }
@@ -616,10 +617,8 @@ func (in *Instance) Run(spec aggregate.Spec, readings []int64) (*Result, error) 
 		if in.obs != nil {
 			if accepted {
 				in.obs.roundsAccepted.Inc()
-				in.Cfg.Obs.Instant(obs.TrackGlobal, "bs:verify:accepted", float64(in.Sim.Now()), uint32(uint16(in.round)))
 			} else {
 				in.obs.roundsRejected.Inc()
-				in.Cfg.Obs.Instant(obs.TrackGlobal, "bs:verify:rejected", float64(in.Sim.Now()), uint32(uint16(in.round)))
 			}
 		}
 		if in.qt != nil {
@@ -767,15 +766,11 @@ func (in *Instance) runAdditiveRound(contribs []int64) (RoundOutcome, error) {
 		participants++
 		in.planned[0][id] = uint16(len(p.targets.Red))
 		in.planned[1][id] = uint16(len(p.targets.Blue))
-		if in.Cfg.Obs != nil {
-			// The node's slicing window has a statically known extent, so
-			// the span is recorded up front instead of via an end event
-			// that would perturb the simulation's event sequence.
-			in.Cfg.Obs.Span(int32(id), "phase2:slicing", float64(at), float64(at+in.Cfg.SliceWindow), uint32(round))
-		}
 		slSpan := qtrace.None
 		if in.qt != nil {
-			// Same statically-known extent as the obs span above. With a
+			// The node's slicing window has a statically known extent, so
+			// the span is recorded up front instead of via an end event
+			// that would perturb the simulation's event sequence. With a
 			// query flood the span parents to the received QUERY frame's
 			// span (causal); scheduled epochs parent to the round root.
 			parent := in.queryParent
@@ -824,15 +819,6 @@ func (in *Instance) runAdditiveRound(contribs []int64) (RoundOutcome, error) {
 	}
 
 	deadline := t1 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
-	if in.Cfg.Obs != nil {
-		r := uint32(round)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "round", float64(t0), float64(deadline), r)
-		if in.Cfg.DisseminateQuery {
-			in.Cfg.Obs.Span(obs.TrackGlobal, "phase2:query-dissemination", float64(t0), float64(t0+floodBudget), r)
-		}
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase2:report-and-assemble", float64(t0+floodBudget), float64(t1), r)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase3:tree-aggregation", float64(t1), float64(deadline), r)
-	}
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
 	}
@@ -1426,6 +1412,5 @@ func (in *Instance) sendAggregate(round uint16, id topology.NodeID) {
 	in.MAC.Send(id, &pkt)
 	if in.obs != nil {
 		in.obs.aggregatesSent.Inc()
-		in.Cfg.Obs.Instant(int32(id), "aggregate:sent", float64(in.Sim.Now()), uint32(round))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ipda-sim/ipda/internal/aggregate"
@@ -11,6 +12,7 @@ import (
 	"github.com/ipda-sim/ipda/internal/linksec"
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/obs"
+	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
 	"github.com/ipda-sim/ipda/internal/tree"
@@ -1019,16 +1021,18 @@ func TestDeterministicRun(t *testing.T) {
 }
 
 // TestObsDoesNotPerturbRun is the determinism contract of the
-// instrumentation layer: attaching a sink must leave every protocol
-// outcome bit-identical to the uninstrumented run.
+// instrumentation layers: attaching a metrics registry or a query tracer
+// must leave every protocol outcome bit-identical to the uninstrumented
+// run.
 func TestObsDoesNotPerturbRun(t *testing.T) {
-	run := func(sink *obs.Sink) *Result {
+	run := func(reg *obs.Registry, qt *qtrace.Tracer) *Result {
 		net, err := topology.Random(topology.PaperConfig(250), rng.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		cfg.Obs = sink
+		cfg.Obs = reg
+		cfg.QTrace = qt
 		inst, err := New(net, cfg, 88)
 		if err != nil {
 			t.Fatal(err)
@@ -1044,27 +1048,32 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 		}
 		return res
 	}
-	plain := run(nil)
-	sink := obs.NewSink()
-	observed := run(sink)
+	plain := run(nil, nil)
+	reg := obs.NewRegistry()
+	observed := run(reg, nil)
 	if !reflect.DeepEqual(plain, observed) {
 		t.Fatalf("instrumentation changed the run:\nplain:    %+v\nobserved: %+v", plain, observed)
 	}
-	if sink.Spans.Len() == 0 {
-		t.Fatal("observed run recorded no spans")
-	}
-	if len(sink.Reg.Snapshot()) == 0 {
+	if len(reg.Snapshot()) == 0 {
 		t.Fatal("observed run recorded no metrics")
 	}
-	// The recorded spans must include the nested tree-construction and
-	// per-node slicing phases the trace viewer shows.
+	qt := qtrace.New(0)
+	if traced := run(nil, qt); !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("tracing changed the run:\nplain:  %+v\ntraced: %+v", plain, traced)
+	}
+	// The trace must include the nested tree-construction phase and the
+	// per-round, per-node slicing and aggregation spans.
 	names := map[string]bool{}
-	for _, ev := range sink.Spans.Events() {
-		names[ev.Name] = true
+	for _, s := range qt.Spans() {
+		name := s.Name
+		if strings.HasPrefix(name, "aggregate:") {
+			name = "aggregate:*"
+		}
+		names[name] = true
 	}
 	for _, want := range []string{
 		"phase1:tree-construction", "phase1:red-flood", "phase1:blue-flood",
-		"phase2:slicing", "phase3:tree-aggregation", "round",
+		"round", "slicing", "aggregate:*",
 	} {
 		if !names[want] {
 			t.Fatalf("missing span %q in %v", want, names)

@@ -60,19 +60,19 @@ type meterObs struct {
 	tx, rx, idle obs.Counter
 }
 
-// SetObs attaches an instrumentation sink: every charge also feeds a
+// SetObs attaches a metrics registry: every charge also feeds a
 // network-wide joules counter labeled by radio component.
-func (m *Meter) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
+func (m *Meter) SetObs(reg *obs.Registry) {
+	if reg == nil {
 		m.obs = nil
 		return
 	}
 	const name = "ipda_energy_joules_total"
 	const help = "network-wide radio energy consumed, by component"
 	m.obs = &meterObs{
-		tx:   sink.Reg.Counter(name, help, obs.Label{Name: "component", Value: "tx"}),
-		rx:   sink.Reg.Counter(name, help, obs.Label{Name: "component", Value: "rx"}),
-		idle: sink.Reg.Counter(name, help, obs.Label{Name: "component", Value: "idle"}),
+		tx:   reg.Counter(name, help, obs.Label{Name: "component", Value: "tx"}),
+		rx:   reg.Counter(name, help, obs.Label{Name: "component", Value: "rx"}),
+		idle: reg.Counter(name, help, obs.Label{Name: "component", Value: "idle"}),
 	}
 }
 

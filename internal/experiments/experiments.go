@@ -52,8 +52,8 @@ type Options struct {
 	// Obs, when non-nil, collects harness throughput metrics for every
 	// sweep the experiment runs (see harness.Sweep.Obs). Metric values
 	// never enter the Table output, so tables stay byte-identical with
-	// and without a sink.
-	Obs *obs.Sink
+	// and without a registry.
+	Obs *obs.Registry
 	// QTrace, when non-nil, collects causal per-query traces for every
 	// sweep the experiment runs (see harness.Sweep.QTrace). Tracing is
 	// read-only: tables are byte-identical with and without a store, and

@@ -174,7 +174,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestObsCountsFaults(t *testing.T) {
-	sink := obs.NewSink()
+	reg := obs.NewRegistry()
 	cfg := Config{Events: []Event{
 		{Round: 0, Kind: Crash, Node: 1},
 		{Round: 1, Kind: Recover, Node: 1},
@@ -183,12 +183,12 @@ func TestObsCountsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.SetObs(sink)
+	inj.SetObs(reg)
 	rec := &recorder{}
 	inj.Advance(0, 0.5, rec)
 	inj.Advance(1, 1.5, rec)
 	got := map[string]float64{}
-	for _, s := range sink.Reg.Snapshot() {
+	for _, s := range reg.Snapshot() {
 		got[s.Name] = s.Value
 	}
 	if got["ipda_fault_crashes_total"] != 1 || got["ipda_fault_recoveries_total"] != 1 {

@@ -69,7 +69,7 @@ type Sweep struct {
 	// lock) and, once the sweep finishes, wall-clock elapsed and
 	// trials/sec gauges. Wall-clock never reaches experiment tables, so
 	// the determinism contract is unaffected.
-	Obs *obs.Sink
+	Obs *obs.Registry
 	// WorkerState, when non-nil, is called once per worker goroutine
 	// before it takes its first trial; the returned value is handed to
 	// every trial that worker runs via T.State. It is the hook for
@@ -147,16 +147,16 @@ func (s Sweep) Run(trial func(t *T) error) error {
 	var trialCounters []obs.Counter
 	var latencyHist obs.Histogram
 	var startWall time.Time
-	observing := s.Obs != nil && s.Obs.Reg != nil
+	observing := s.Obs != nil
 	if observing {
 		trialCounters = make([]obs.Counter, s.Points)
 		sweepLabel := obs.Label{Name: "sweep", Value: s.ID}
 		for p := 0; p < s.Points; p++ {
-			trialCounters[p] = s.Obs.Reg.Counter("ipda_harness_trials_total",
+			trialCounters[p] = s.Obs.Counter("ipda_harness_trials_total",
 				"completed trials per sweep point",
 				sweepLabel, obs.Label{Name: "point", Value: strconv.Itoa(p)})
 		}
-		latencyHist = s.Obs.Reg.Histogram("ipda_harness_query_latency_seconds",
+		latencyHist = s.Obs.Histogram("ipda_harness_query_latency_seconds",
 			"per-query completion latency (simulated seconds)",
 			LatencyBuckets, sweepLabel)
 		startWall = time.Now()
@@ -229,10 +229,10 @@ func (s Sweep) Run(trial func(t *T) error) error {
 	if observing {
 		sweepLabel := obs.Label{Name: "sweep", Value: s.ID}
 		elapsed := time.Since(startWall).Seconds()
-		s.Obs.Reg.Gauge("ipda_harness_sweep_elapsed_seconds",
+		s.Obs.Gauge("ipda_harness_sweep_elapsed_seconds",
 			"wall-clock duration of the sweep", sweepLabel).Set(elapsed)
 		if elapsed > 0 {
-			s.Obs.Reg.Gauge("ipda_harness_sweep_trials_per_second",
+			s.Obs.Gauge("ipda_harness_sweep_trials_per_second",
 				"completed-trial throughput of the sweep", sweepLabel).Set(float64(done) / elapsed)
 		}
 	}

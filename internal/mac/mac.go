@@ -180,8 +180,8 @@ func New(sim *eventsim.Sim, medium *radio.Medium, n int, cfg Config, rand *rng.S
 // closures. Queued frames from the previous run are recycled, counters and
 // the duplicate-suppression map are cleared (keeping their storage), and
 // the shared receiver closure is reinstalled on the medium (which a
-// medium Reset detaches). Handlers and the obs sink are dropped — the
-// owning protocol stack rewires them, exactly as after New.
+// medium Reset detaches). Handlers and the metrics registry are dropped
+// — the owning protocol stack rewires them, exactly as after New.
 func (m *MAC) Reset(n int, cfg Config, rand *rng.Stream) {
 	if cfg.SlotTime <= 0 || cfg.MinWindow <= 0 || cfg.MaxWindow < cfg.MinWindow ||
 		cfg.MaxAttempts <= 0 || cfg.RetryLimit < 0 || cfg.SIFS <= 0 || cfg.MaxFrameSize < 0 {
@@ -358,21 +358,21 @@ type macObs struct {
 	queueLen   obs.Histogram
 }
 
-// SetObs attaches an instrumentation sink; instruments resolve once here.
-func (m *MAC) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
+// SetObs attaches a metrics registry; instruments resolve once here.
+func (m *MAC) SetObs(reg *obs.Registry) {
+	if reg == nil {
 		m.obs = nil
 		return
 	}
 	m.obs = &macObs{
-		enqueued:   sink.Reg.Counter("ipda_mac_enqueued_total", "frames handed to the MAC"),
-		sent:       sink.Reg.Counter("ipda_mac_sent_total", "data transmissions put on the air (incl. retransmissions)"),
-		dropped:    sink.Reg.Counter("ipda_mac_dropped_total", "frames abandoned after MaxAttempts or RetryLimit"),
-		backoffs:   sink.Reg.Counter("ipda_mac_backoffs_total", "busy senses that led to backoff"),
-		retries:    sink.Reg.Counter("ipda_mac_retries_total", "unicast retransmissions"),
-		acksSent:   sink.Reg.Counter("ipda_mac_acks_sent_total", "link-layer acknowledgements transmitted"),
-		duplicates: sink.Reg.Counter("ipda_mac_duplicates_total", "retransmissions suppressed at receivers"),
-		queueLen: sink.Reg.Histogram("ipda_mac_queue_depth", "per-node queue depth observed at enqueue, including the frame just queued",
+		enqueued:   reg.Counter("ipda_mac_enqueued_total", "frames handed to the MAC"),
+		sent:       reg.Counter("ipda_mac_sent_total", "data transmissions put on the air (incl. retransmissions)"),
+		dropped:    reg.Counter("ipda_mac_dropped_total", "frames abandoned after MaxAttempts or RetryLimit"),
+		backoffs:   reg.Counter("ipda_mac_backoffs_total", "busy senses that led to backoff"),
+		retries:    reg.Counter("ipda_mac_retries_total", "unicast retransmissions"),
+		acksSent:   reg.Counter("ipda_mac_acks_sent_total", "link-layer acknowledgements transmitted"),
+		duplicates: reg.Counter("ipda_mac_duplicates_total", "retransmissions suppressed at receivers"),
+		queueLen: reg.Histogram("ipda_mac_queue_depth", "per-node queue depth observed at enqueue, including the frame just queued",
 			[]float64{0, 1, 2, 4, 8, 16, 32}),
 	}
 }

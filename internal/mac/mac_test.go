@@ -313,8 +313,8 @@ func TestQueueDepthObservedAfterEnqueue(t *testing.T) {
 	// The queue-depth histogram must include the frame being enqueued:
 	// three back-to-back sends from one node observe depths 1, 2, 3.
 	sim, _, m, net := setup(t, 2, 30)
-	sink := obs.NewSink()
-	m.SetObs(sink)
+	reg := obs.NewRegistry()
+	m.SetObs(reg)
 	dst := net.Neighbors(0)[0]
 	sim.At(0, func() {
 		for i := uint16(1); i <= 3; i++ {
@@ -322,7 +322,7 @@ func TestQueueDepthObservedAfterEnqueue(t *testing.T) {
 		}
 	})
 	sim.RunAll()
-	for _, s := range sink.Reg.Snapshot() {
+	for _, s := range reg.Snapshot() {
 		if s.Name != "ipda_mac_queue_depth" {
 			continue
 		}

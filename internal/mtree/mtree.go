@@ -61,8 +61,8 @@ type Config struct {
 	// MAC configures the link layer; the zero value selects
 	// mac.DefaultConfig(), so existing callers are unchanged.
 	MAC mac.Config
-	// Obs is the optional instrumentation sink (see core.Config.Obs).
-	Obs *obs.Sink
+	// Obs is the optional metrics registry (see core.Config.Obs).
+	Obs *obs.Registry
 	// QTrace is the optional causal per-query tracer (see
 	// core.Config.QTrace); nil disables tracing and never changes a run.
 	QTrace *qtrace.Tracer
@@ -229,9 +229,7 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 	in.roundSpan = qtrace.None
 	buildStart := float64(in.sim.Now())
 	in.buildTrees(root.Split(3))
-	if cfg.Obs != nil {
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:mtree-construction", buildStart, float64(in.sim.Now()), 0)
-	}
+	in.qt.End(in.qt.Start(0, qtrace.None, -1, "phase1:mtree-construction", buildStart), float64(in.sim.Now()))
 	return in.checkDisjoint()
 }
 
@@ -573,9 +571,6 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 		if !in.CanSlice(id) {
 			continue
 		}
-		if in.Cfg.Obs != nil {
-			in.Cfg.Obs.Span(int32(id), "phase2:slicing", float64(t0), float64(t0+in.Cfg.SliceWindow), uint32(round))
-		}
 		slSpan := qtrace.None
 		if in.qt != nil {
 			slSpan = in.qt.Start(uint32(round), in.roundSpan, int32(id), "slicing", float64(t0))
@@ -642,11 +637,6 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 		in.sim.At(t1+slot+jitter, func() { in.sendAggregate(round, id) })
 	}
 	deadline := t1 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
-	if in.Cfg.Obs != nil {
-		r := uint32(round)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "round", float64(t0), float64(deadline), r)
-		in.Cfg.Obs.Span(obs.TrackGlobal, "phase3:tree-aggregation", float64(t1), float64(deadline), r)
-	}
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
 	}
@@ -657,16 +647,15 @@ func (in *Instance) RunSum(readings []int64) (Verdict, error) {
 		totals[t] = in.bsSum[t] + in.assembled[0][t].Total()
 	}
 	v := majorityVerdict(totals, in.Cfg.Threshold)
-	if in.Cfg.Obs != nil && in.Cfg.Obs.Reg != nil {
+	if in.Cfg.Obs != nil {
 		verdict := "rejected"
 		if v.Accepted {
 			verdict = "accepted"
 		}
-		in.Cfg.Obs.Reg.Counter("ipda_mtree_rounds_total", "majority-vote verdicts",
+		in.Cfg.Obs.Counter("ipda_mtree_rounds_total", "majority-vote verdicts",
 			obs.Label{Name: "verdict", Value: verdict}).Inc()
-		in.Cfg.Obs.Reg.Counter("ipda_mtree_outlier_trees_total",
+		in.Cfg.Obs.Counter("ipda_mtree_outlier_trees_total",
 			"trees voted outside the majority cluster").Add(float64(len(v.Outliers)))
-		in.Cfg.Obs.Instant(obs.TrackGlobal, "bs:verify:"+verdict, float64(in.sim.Now()), uint32(round))
 	}
 	if in.qt != nil {
 		verdict := "verify:rejected"

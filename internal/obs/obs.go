@@ -1,9 +1,9 @@
-// Package obs is the protocol-wide instrumentation layer: a registry of
-// labeled counters, gauges and histograms, plus a span recorder keyed to
-// the simulated clock. Every layer of the stack (radio, mac, tree, core,
-// tag, mtree, energy, harness) exposes a SetObs-style hook that resolves
-// its instruments once at attach time and then updates them from the hot
-// path with plain field stores.
+// Package obs is the protocol-wide metrics layer: a registry of labeled
+// counters, gauges and histograms. Every layer of the stack (radio, mac,
+// tree, core, tag, mtree, energy, fault, harness) exposes a SetObs-style
+// hook that resolves its instruments once at attach time and then
+// updates them from the hot path with plain field stores. Spans live in
+// internal/qtrace.
 //
 // Two design rules keep the layer compatible with the simulator's
 // performance and determinism contracts:
@@ -12,7 +12,7 @@
 //     series handles at registration time, so a hot-path update is one
 //     pointer-chased add — no map lookups, no label formatting, no
 //     allocation. Uninstrumented runs pay a single nil check per
-//     instrumentation point (the layers guard on their Sink pointer).
+//     instrumentation point (the layers guard on their Registry pointer).
 //   - Deterministic and side-effect free: instruments only *read*
 //     protocol state; they never schedule events, draw randomness, or
 //     otherwise perturb a run. Exports iterate families and series in
@@ -364,35 +364,4 @@ func (r *Registry) Snapshot() []Sample {
 		}
 	}
 	return out
-}
-
-// Sink bundles the two recorders a protocol stack is instrumented
-// against. A nil *Sink (or a nil field) disables the corresponding
-// instrumentation: layers guard their hot paths with one pointer check,
-// and the span helpers below are safe to call through a nil receiver.
-type Sink struct {
-	Reg   *Registry
-	Spans *SpanRecorder
-}
-
-// NewSink returns a sink with a fresh registry and a span recorder with
-// the default capacity.
-func NewSink() *Sink {
-	return &Sink{Reg: NewRegistry(), Spans: NewSpanRecorder(DefaultSpanLimit)}
-}
-
-// Span records a completed phase span; a no-op on a nil sink or recorder.
-func (s *Sink) Span(track int32, name string, begin, end float64, round uint32) {
-	if s == nil || s.Spans == nil {
-		return
-	}
-	s.Spans.Span(track, name, begin, end, round)
-}
-
-// Instant records a point event; a no-op on a nil sink or recorder.
-func (s *Sink) Instant(track int32, name string, at float64, round uint32) {
-	if s == nil || s.Spans == nil {
-		return
-	}
-	s.Spans.Instant(track, name, at, round)
 }

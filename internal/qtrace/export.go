@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"github.com/ipda-sim/ipda/internal/obs"
 )
 
 // Line is one JSONL trace record: a span plus the coordinates locating
@@ -100,30 +98,32 @@ func writeSpans(w io.Writer, head Line, t *Tracer) error {
 }
 
 // ReadJSONL parses a trace file produced by either WriteJSONL. Trailer
-// lines (drop counts) are skipped; Dropped returns their sum.
+// lines (drop counts) are skipped; Dropped returns their sum. A record
+// that is neither a span nor a trailer (an unknown field, or a missing
+// span ID or name) is an error, so a file in another format is rejected
+// rather than read as empty spans.
 func ReadJSONL(r io.Reader) (lines []Line, dropped int, err error) {
 	dec := json.NewDecoder(r)
-	for {
-		var raw map[string]json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+	dec.DisallowUnknownFields()
+	for rec := 1; ; rec++ {
+		var ln struct {
+			Line
+			Dropped *int `json:"dropped"`
+		}
+		if err := dec.Decode(&ln); err != nil {
 			if err == io.EOF {
 				return lines, dropped, nil
 			}
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("qtrace: record %d: %w", rec, err)
 		}
-		if d, ok := raw["dropped"]; ok {
-			var n int
-			if json.Unmarshal(d, &n) == nil {
-				dropped += n
-			}
+		if ln.Dropped != nil {
+			dropped += *ln.Dropped
 			continue
 		}
-		var ln Line
-		blob, _ := json.Marshal(raw)
-		if err := json.Unmarshal(blob, &ln); err != nil {
-			return nil, 0, err
+		if ln.ID == 0 || ln.Name == "" {
+			return nil, 0, fmt.Errorf("qtrace: record %d is not a span: no id or name", rec)
 		}
-		lines = append(lines, ln)
+		lines = append(lines, ln.Line)
 	}
 }
 
@@ -151,20 +151,76 @@ func GroupByTrial(lines []Line) (map[string][]Span, []string) {
 }
 
 // WriteChromeTrace renders one trial's spans as Chrome trace-event JSON
-// by replaying them into an obs.SpanRecorder (track = node, network
-// spans on the global track) — the same Perfetto-loadable format the
-// obs layer exports, so both kinds of trace open in the same UI.
+// (the object form that Perfetto and chrome://tracing both load).
+// Simulated seconds map to microseconds of trace time, every node becomes
+// a named thread of process 0 (network-wide spans on the "network"
+// thread), and spans on one thread nest by time containment. Output is
+// deterministic: thread metadata sorted by thread, then the spans in the
+// order given.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	rec := obs.NewSpanRecorder(len(spans) + 1)
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	sep := "\n"
+	emit := func(format string, args ...any) {
+		bw.WriteString(sep)
+		fmt.Fprintf(bw, format, args...)
+		sep = ",\n"
+	}
+
+	seen := map[int64]bool{}
+	var tids []int64
+	for i := range spans {
+		if t := tid(spans[i].Node); !seen[t] {
+			seen[t] = true
+			tids = append(tids, t)
+		}
+	}
+	sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
+	for _, t := range tids {
+		label := "network"
+		if t > 0 {
+			label = fmt.Sprintf("node %d", t-1)
+		}
+		emit(`{"ph":"M","name":"thread_name","pid":0,"tid":%d,"args":{"name":%s}}`, t, jsonString(label))
+	}
+	// sort_index metadata pins the network thread above the node threads.
+	for _, t := range tids {
+		emit(`{"ph":"M","name":"thread_sort_index","pid":0,"tid":%d,"args":{"sort_index":%d}}`, t, t)
+	}
+
 	for i := range spans {
 		s := &spans[i]
-		track := s.Node
-		if track < 0 {
-			track = obs.TrackGlobal
+		args := ""
+		if s.Query != 0 {
+			args = fmt.Sprintf(`,"args":{"query":%d}`, s.Query)
 		}
-		rec.Span(track, s.Name, s.Begin, s.End, s.Query)
+		ts := s.Begin * 1e6 // simulated seconds -> trace µs
+		if s.End > s.Begin {
+			emit(`{"ph":"X","name":%s,"pid":0,"tid":%d,"ts":%g,"dur":%g%s}`,
+				jsonString(s.Name), tid(s.Node), ts, (s.End-s.Begin)*1e6, args)
+		} else {
+			emit(`{"ph":"i","name":%s,"pid":0,"tid":%d,"ts":%g,"s":"t"%s}`,
+				jsonString(s.Name), tid(s.Node), ts, args)
+		}
 	}
-	return rec.WriteChromeTrace(w)
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
+
+// tid maps a node to a viewer thread ID, which must be non-negative:
+// network-wide spans (negative node) on thread 0, node n on n+1.
+func tid(node int32) int64 {
+	if node < 0 {
+		return 0
+	}
+	return int64(node) + 1
+}
+
+// jsonString quotes s as a JSON string literal; span names read back
+// from a trace file may hold any bytes.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // WriteText renders spans as a deterministic indented tree, children

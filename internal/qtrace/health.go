@@ -98,6 +98,9 @@ func Analyze(spans []Span) []Health {
 			}
 		}
 		if verify != nil {
+			// visited guards against parent cycles (two spans sharing an
+			// ID) in hand-edited input files.
+			visited := make([]bool, len(spans))
 			for _, ci := range children[verify.ID] {
 				c := &spans[ci]
 				if !strings.HasPrefix(c.Name, "aggregate") {
@@ -107,7 +110,7 @@ func Analyze(spans []Span) []Health {
 				if k := strings.IndexByte(c.Name, ':'); k >= 0 {
 					st.Tree = c.Name[k+1:]
 				}
-				rollup(spans, children, ci, &st, map[int32]bool{})
+				rollup(spans, children, ci, &st, map[int32]bool{}, visited)
 				h.Subtrees = append(h.Subtrees, st)
 			}
 			sort.Slice(h.Subtrees, func(a, b int) bool {
@@ -124,8 +127,13 @@ func Analyze(spans []Span) []Health {
 	return out
 }
 
-// rollup accumulates the aggregate spans of one subtree depth-first.
-func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes map[int32]bool) {
+// rollup accumulates the aggregate spans of one subtree depth-first,
+// visiting each span index at most once.
+func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes map[int32]bool, visited []bool) {
+	if visited[i] {
+		return
+	}
+	visited[i] = true
 	s := &spans[i]
 	if strings.HasPrefix(s.Name, "aggregate") && !strings.HasSuffix(s.Name, ":rx") {
 		if !nodes[s.Node] {
@@ -144,7 +152,7 @@ func rollup(spans []Span, children map[uint32][]int, i int, st *Subtree, nodes m
 		st.LastArrival = s.End
 	}
 	for _, ci := range children[uint32(s.ID)] {
-		rollup(spans, children, ci, st, nodes)
+		rollup(spans, children, ci, st, nodes, visited)
 	}
 }
 

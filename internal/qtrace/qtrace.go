@@ -20,7 +20,9 @@
 //     run is byte-identical to an untraced one, and equal seeds produce
 //     byte-identical traces at any worker or shard count.
 //   - Span extents are recorded from statically known schedule bounds
-//     (and extended by observed completions), mirroring obs/span.go.
+//     (and extended by observed completions), so recording a span never
+//     schedules an event of its own, which would renumber the event
+//     sequence and break the byte-identical-tables contract.
 package qtrace
 
 // DefaultLimit bounds a tracer's span storage. A paper-scale round
@@ -75,7 +77,7 @@ type Span struct {
 }
 
 // Tracer accumulates the spans of one protocol instance (one trial
-// slot). Not safe for concurrent use: like an obs.Sink it belongs to
+// slot). Not safe for concurrent use: like an obs.Registry it belongs to
 // one simulation. The nil *Tracer is the disabled tracer — every method
 // is a no-op behind a single pointer check.
 type Tracer struct {

@@ -2,6 +2,8 @@ package qtrace
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -155,12 +157,115 @@ func TestTextAndHealth(t *testing.T) {
 	if len(h.CriticalPath) != 3 || h.CriticalPath[1].Node != 4 || h.CriticalPath[2].Node != 11 {
 		t.Fatalf("critical path: %+v", h.CriticalPath)
 	}
+}
 
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, tr.Spans()); err != nil {
+// dupIDTrace holds two spans that share ID 5, so span 6's children loop
+// back to it: a parent cycle the health analysis must survive.
+const dupIDTrace = `{"id":1,"query":1,"node":-1,"name":"round","begin":0,"end":1}
+{"id":5,"parent":1,"query":1,"node":0,"name":"verify:accepted","begin":1,"end":1}
+{"id":6,"parent":5,"query":1,"node":3,"name":"aggregate:red","begin":0.5,"end":0.6}
+{"id":5,"parent":6,"query":1,"node":4,"name":"aggregate:red","begin":0.5,"end":0.6}
+`
+
+func TestHealthSurvivesDuplicateIDCycle(t *testing.T) {
+	lines, _, err := ReadJSONL(strings.NewReader(dupIDTrace))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(chrome.String(), `"traceEvents"`) {
-		t.Fatalf("chrome trace:\n%s", chrome.String())
+	groups, order := GroupByTrial(lines)
+	spans := groups[order[0]]
+	var buf bytes.Buffer
+	if err := WriteHealth(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	hs := Analyze(spans)
+	if len(hs) != 1 || hs[0].Verdict != "accepted" || len(hs[0].Subtrees) != 1 {
+		t.Fatalf("health: %+v", hs)
+	}
+	if st := hs[0].Subtrees[0]; st.Root != 3 || st.Nodes != 2 {
+		t.Fatalf("subtree rollup: %+v", st)
+	}
+}
+
+func TestReadJSONLRejectsForeignRecords(t *testing.T) {
+	for _, in := range []string{
+		`{"t":0.5,"node":3,"kind":"rx","detail":"SLICE 3->7"}` + "\n", // radio timeline event
+		`{"node":3,"begin":0,"end":1}` + "\n",                         // no id or name
+		`[1,2]` + "\n",
+	} {
+		if _, _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadJSONL accepted %q", in)
+		}
+	}
+}
+
+func TestWriteChromeTraceValidJSON(t *testing.T) {
+	tr := New(0)
+	phase := tr.Start(0, None, -1, "phase1:tree-construction", 0)
+	tr.End(phase, 2.5)
+	tr.End(tr.Start(0, phase, -1, "phase1:red-flood", 0), 1.5)
+	tr.End(tr.Start(1, None, 7, "slicing", 3.0), 3.2)
+	tr.Instant(1, None, 7, "slice:rejected", 3.05)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []struct {
+			Ph   string          `json:"ph"`
+			Name string          `json:"name"`
+			Pid  int             `json:"pid"`
+			Tid  int             `json:"tid"`
+			Ts   float64         `json:"ts"`
+			Dur  float64         `json:"dur"`
+			S    string          `json:"s"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
+	}
+	// 2 threads × (thread_name + thread_sort_index) + 4 spans.
+	if len(doc.TraceEvents) != 8 {
+		t.Fatalf("got %d trace events, want 8:\n%s", len(doc.TraceEvents), buf.String())
+	}
+	threads := map[int]string{}
+	var sawSpan, sawInstant bool
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "M":
+			if ev.Name == "thread_name" {
+				var args struct{ Name string }
+				if err := json.Unmarshal(ev.Args, &args); err != nil {
+					t.Fatal(err)
+				}
+				threads[ev.Tid] = args.Name
+			}
+		case "X":
+			sawSpan = true
+			if ev.Name == "slicing" {
+				if ev.Tid != 8 { // node 7 -> tid 8
+					t.Fatalf("slicing span tid = %d, want 8", ev.Tid)
+				}
+				if math.Abs(ev.Ts-3.0e6) > 1e-6 || math.Abs(ev.Dur-0.2e6) > 1e-3 {
+					t.Fatalf("slicing span ts/dur = %v/%v", ev.Ts, ev.Dur)
+				}
+				if string(ev.Args) != `{"query":1}` {
+					t.Fatalf("slicing span args = %s", ev.Args)
+				}
+			}
+		case "i":
+			sawInstant = true
+			if ev.S != "t" || ev.Tid != 8 {
+				t.Fatalf("instant scope %q tid %d, want t on 8", ev.S, ev.Tid)
+			}
+		}
+	}
+	if threads[0] != "network" || threads[8] != "node 7" || len(threads) != 2 {
+		t.Fatalf("thread names = %v", threads)
+	}
+	if !sawSpan || !sawInstant {
+		t.Fatalf("missing event kinds: span=%v instant=%v", sawSpan, sawInstant)
 	}
 }

@@ -116,26 +116,26 @@ var kindLabels = [int(packet.KindSliceBatch) + 1]string{
 	"unknown", "hello", "query", "slice", "aggregate", "ack", "slice_batch",
 }
 
-// SetObs attaches an instrumentation sink. Label sets resolve to dense
+// SetObs attaches a metrics registry. Label sets resolve to dense
 // counter handles here, once; the per-frame path then pays one nil check
 // plus array-indexed adds and stays allocation-free.
-func (m *Medium) SetObs(sink *obs.Sink) {
-	if sink == nil || sink.Reg == nil {
+func (m *Medium) SetObs(reg *obs.Registry) {
+	if reg == nil {
 		m.obs = nil
 		return
 	}
 	mo := &mediumObs{}
 	for k, label := range kindLabels {
 		kl := obs.Label{Name: "kind", Value: label}
-		mo.txFrames[k] = sink.Reg.Counter("ipda_radio_tx_frames_total", "frames put on the air", kl)
-		mo.txBytes[k] = sink.Reg.Counter("ipda_radio_tx_bytes_total", "bytes put on the air (incl. physical overhead)", kl)
-		mo.rxFrames[k] = sink.Reg.Counter("ipda_radio_rx_frames_total", "frames decoded at addressed receivers", kl)
-		mo.rxBytes[k] = sink.Reg.Counter("ipda_radio_rx_bytes_total", "bytes decoded at addressed receivers", kl)
-		mo.collFrames[k] = sink.Reg.Counter("ipda_radio_collision_frames_total", "addressed receptions lost to collisions, fading, or half-duplex", kl)
-		mo.dropBytes[k] = sink.Reg.Counter("ipda_radio_drop_bytes_total", "bytes of addressed receptions lost in the air", kl)
+		mo.txFrames[k] = reg.Counter("ipda_radio_tx_frames_total", "frames put on the air", kl)
+		mo.txBytes[k] = reg.Counter("ipda_radio_tx_bytes_total", "bytes put on the air (incl. physical overhead)", kl)
+		mo.rxFrames[k] = reg.Counter("ipda_radio_rx_frames_total", "frames decoded at addressed receivers", kl)
+		mo.rxBytes[k] = reg.Counter("ipda_radio_rx_bytes_total", "bytes decoded at addressed receivers", kl)
+		mo.collFrames[k] = reg.Counter("ipda_radio_collision_frames_total", "addressed receptions lost to collisions, fading, or half-duplex", kl)
+		mo.dropBytes[k] = reg.Counter("ipda_radio_drop_bytes_total", "bytes of addressed receptions lost in the air", kl)
 	}
-	mo.coalesced = sink.Reg.Counter("ipda_radio_frames_coalesced_total", "multi-slice frames put on the air by the coalescing mode")
-	mo.slicesPerFrame = sink.Reg.Histogram("ipda_radio_coalesced_slices", "slices carried per coalesced frame",
+	mo.coalesced = reg.Counter("ipda_radio_frames_coalesced_total", "multi-slice frames put on the air by the coalescing mode")
+	mo.slicesPerFrame = reg.Histogram("ipda_radio_coalesced_slices", "slices carried per coalesced frame",
 		[]float64{1, 2, 3, 4, 6, 8, 12, 16})
 	m.obs = mo
 }
@@ -197,9 +197,9 @@ const PaperRate = 1e6
 // topology while keeping its allocated storage: per-node tables are resized
 // and cleared in place, and the transmission pool survives so the next
 // run's frames reuse this run's records. Receivers, taps, the meter, the
-// loss model, and the obs sink are all detached — exactly the fields New
-// leaves unset — so the owning stack must rewire what it needs, same as
-// after a fresh New.
+// loss model, and the metrics registry are all detached — exactly the
+// fields New leaves unset — so the owning stack must rewire what it
+// needs, same as after a fresh New.
 // Net returns the network the medium currently simulates — the one passed
 // to New or the latest Reset. MAC layers that derive geometry-dependent
 // schedules (slotted TDMA) read it at their own Reset time.

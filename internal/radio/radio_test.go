@@ -326,8 +326,8 @@ func TestObsCountsPerKind(t *testing.T) {
 	}
 	sim := eventsim.New()
 	m := New(sim, net, PaperRate)
-	sink := obs.NewSink()
-	m.SetObs(sink)
+	reg := obs.NewRegistry()
+	m.SetObs(reg)
 	hello := (&packet.Packet{Header: packet.Header{Kind: packet.KindHello, Src: 0, Dst: packet.Broadcast}})
 	frame := hello.Marshal()
 	size := hello.Size()
@@ -335,7 +335,7 @@ func TestObsCountsPerKind(t *testing.T) {
 	sim.RunAll()
 	find := func(key string) float64 {
 		var buf bytes.Buffer
-		if err := sink.Reg.WriteProm(&buf); err != nil {
+		if err := reg.WriteProm(&buf); err != nil {
 			t.Fatal(err)
 		}
 		vals, err := obs.ParseProm(&buf)
@@ -366,7 +366,7 @@ func TestTransmitAllocFreeWithObs(t *testing.T) {
 	}
 	sim := eventsim.New()
 	m := New(sim, net, PaperRate)
-	m.SetObs(obs.NewSink())
+	m.SetObs(obs.NewRegistry())
 	frame := []byte{byte(packet.KindSlice), 2, 3}
 	for i := 0; i < 8; i++ {
 		m.Transmit(0, packet.Broadcast, frame, 30)
@@ -412,7 +412,7 @@ func BenchmarkTransmitDense(b *testing.B) {
 }
 
 // BenchmarkTransmitDenseObs is BenchmarkTransmitDense with the
-// instrumentation sink attached: the per-frame overhead of the dense
+// metrics registry attached: the per-frame overhead of the dense
 // metric handles (a nil check plus array increments), still 0 allocs/op.
 func BenchmarkTransmitDenseObs(b *testing.B) {
 	net, err := topology.Random(topology.PaperConfig(400), rng.New(7))
@@ -421,7 +421,7 @@ func BenchmarkTransmitDenseObs(b *testing.B) {
 	}
 	sim := eventsim.New()
 	m := New(sim, net, PaperRate)
-	m.SetObs(obs.NewSink())
+	m.SetObs(obs.NewRegistry())
 	frame := make([]byte, 21)
 	frame[0] = byte(packet.KindHello)
 	b.ReportAllocs()

@@ -37,8 +37,8 @@ type Config struct {
 	TreeDeadline eventsim.Time
 	// AggSlot is the per-hop transmission slot of the aggregation epoch.
 	AggSlot eventsim.Time
-	// Obs is the optional instrumentation sink (see core.Config.Obs).
-	Obs *obs.Sink
+	// Obs is the optional metrics registry (see core.Config.Obs).
+	Obs *obs.Registry
 	// QTrace is the optional causal per-query tracer (see
 	// core.Config.QTrace); nil disables tracing and never changes a run.
 	QTrace *qtrace.Tracer
@@ -167,9 +167,7 @@ func (in *Instance) Reset(net *topology.Network, cfg Config, seed uint64) error 
 	in.roundSpan = qtrace.None
 	buildStart := float64(in.Sim.Now())
 	tr := in.builder.Build(in.Sim, in.Medium, in.MAC, net, cfg.TreeDeadline)
-	if cfg.Obs != nil {
-		cfg.Obs.Span(obs.TrackGlobal, "tag:tree-construction", buildStart, float64(in.Sim.Now()), 0)
-	}
+	in.qt.End(in.qt.Start(0, qtrace.None, -1, "tag:tree-construction", buildStart), float64(in.Sim.Now()))
 	in.Net = net
 	in.Cfg = cfg
 	in.Tree = tr
@@ -358,9 +356,6 @@ func (in *Instance) runRound(contribs []int64) Outcome {
 		in.Sim.At(t0+slot+jitter, ev.fire)
 	}
 	deadline := t0 + eventsim.Time(maxHop+2)*in.Cfg.AggSlot + 1.0
-	if in.Cfg.Obs != nil {
-		in.Cfg.Obs.Span(obs.TrackGlobal, "tag:epoch", float64(t0), float64(deadline), uint32(round))
-	}
 	if in.qt != nil {
 		in.qt.End(in.roundSpan, float64(deadline))
 	}

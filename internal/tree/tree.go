@@ -28,6 +28,7 @@ import (
 	"github.com/ipda-sim/ipda/internal/mac"
 	"github.com/ipda-sim/ipda/internal/obs"
 	"github.com/ipda-sim/ipda/internal/packet"
+	"github.com/ipda-sim/ipda/internal/qtrace"
 	"github.com/ipda-sim/ipda/internal/radio"
 	"github.com/ipda-sim/ipda/internal/rng"
 	"github.com/ipda-sim/ipda/internal/topology"
@@ -101,11 +102,14 @@ type Config struct {
 	// Every root floods both colors at hop 0 and collects aggregation
 	// results; nodes attach to whichever root's flood reaches them first.
 	ExtraRoots []topology.NodeID
-	// Obs is the optional instrumentation sink: role counters, a
-	// tree-construction span with nested red/blue flood spans, and
-	// per-node role-decision instants. Nil disables instrumentation;
-	// observing never alters the constructed trees.
-	Obs *obs.Sink
+	// Obs is the optional metrics registry for the role counters. Nil
+	// disables them; observing never alters the constructed trees.
+	Obs *obs.Registry
+	// QTrace is the optional causal tracer: Phase I records a
+	// network-wide phase1:tree-construction span on query 0 with the
+	// red and blue flood spans as children. Nil disables it; tracing
+	// never alters the constructed trees.
+	QTrace *qtrace.Tracer
 }
 
 // DefaultConfig returns the paper's parameters: adaptive roles with k = 4.
@@ -380,9 +384,9 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 	phaseStart := float64(sim.Now())
 	b.lastRed, b.lastBlue = phaseStart, phaseStart
 	b.roleCount = [RoleBase + 1]obs.Counter{}
-	if cfg.Obs != nil && cfg.Obs.Reg != nil {
+	if cfg.Obs != nil {
 		for _, role := range []Role{RoleUndecided, RoleLeaf, RoleRed, RoleBlue} {
-			b.roleCount[role] = cfg.Obs.Reg.Counter("ipda_tree_roles_total",
+			b.roleCount[role] = cfg.Obs.Counter("ipda_tree_roles_total",
 				"Phase I role decisions", obs.Label{Name: "role", Value: role.String()})
 		}
 	}
@@ -412,14 +416,11 @@ func (b *Builder) Build(sim *eventsim.Sim, medium *radio.Medium, m *mac.MAC, net
 	sim.After(0, b.kickoffFn)
 	sim.Run(sim.Now() + cfg.Deadline)
 
-	if cfg.Obs != nil {
-		end := b.lastRed
-		if b.lastBlue > end {
-			end = b.lastBlue
-		}
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:tree-construction", phaseStart, end, 0)
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:red-flood", phaseStart, b.lastRed, 0)
-		cfg.Obs.Span(obs.TrackGlobal, "phase1:blue-flood", phaseStart, b.lastBlue, 0)
+	if qt := cfg.QTrace; qt != nil {
+		phase := qt.Start(0, qtrace.None, -1, "phase1:tree-construction", phaseStart)
+		qt.End(phase, max(b.lastRed, b.lastBlue))
+		qt.End(qt.Start(0, phase, -1, "phase1:red-flood", phaseStart), b.lastRed)
+		qt.End(qt.Start(0, phase, -1, "phase1:blue-flood", phaseStart), b.lastBlue)
 	}
 
 	res := &b.res
@@ -465,7 +466,7 @@ func (b *Builder) sendHello(src topology.NodeID, color packet.Color, hop uint16)
 		Color:  color,
 		Hop:    hop,
 	})
-	if b.cfg.Obs != nil {
+	if b.cfg.QTrace != nil {
 		switch color {
 		case packet.Red:
 			b.lastRed = float64(b.sim.Now())
@@ -516,17 +517,7 @@ func (b *Builder) decide(id topology.NodeID) {
 	default:
 		st.role = RoleLeaf
 	}
-	if cfg.Obs != nil {
-		b.roleCount[st.role].Inc()
-		switch st.role {
-		case RoleRed:
-			cfg.Obs.Instant(int32(id), "role:red", float64(b.sim.Now()), 0)
-		case RoleBlue:
-			cfg.Obs.Instant(int32(id), "role:blue", float64(b.sim.Now()), 0)
-		case RoleLeaf:
-			cfg.Obs.Instant(int32(id), "role:leaf", float64(b.sim.Now()), 0)
-		}
-	}
+	b.roleCount[st.role].Inc()
 }
 
 func (b *Builder) onHello(self topology.NodeID, p *packet.Packet) {

@@ -41,7 +41,6 @@ import (
 	"github.com/ipda-sim/ipda/internal/stream"
 	"github.com/ipda-sim/ipda/internal/tag"
 	"github.com/ipda-sim/ipda/internal/topology"
-	"github.com/ipda-sim/ipda/internal/trace"
 	"github.com/ipda-sim/ipda/internal/tree"
 )
 
@@ -96,10 +95,9 @@ type Config struct {
 	// Seed drives every random choice; equal configs reproduce runs
 	// exactly.
 	Seed uint64
-	// Observe attaches the instrumentation layer (labeled metrics plus
-	// simulated-clock phase spans) to the deployment. Observation never
-	// alters protocol behavior or results; read what was recorded through
-	// Network.Obs.
+	// Observe attaches the labeled-metrics layer to the deployment.
+	// Observation never alters protocol behavior or results; read what
+	// was recorded through Network.Obs.
 	Observe bool
 	// TraceQueries attaches the causal per-query tracer: every query
 	// yields a span tree linking dissemination, slice exchange, per-node
@@ -218,7 +216,7 @@ type Network struct {
 	topo *topology.Network
 	inst *core.Instance
 	eav  *attack.Eavesdropper
-	sink *obs.Sink
+	reg  *obs.Registry
 	qt   *qtrace.Tracer
 }
 
@@ -233,10 +231,10 @@ func Deploy(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
-	var sink *obs.Sink
+	var reg *obs.Registry
 	if cfg.Observe {
-		sink = obs.NewSink()
-		ccfg.Obs = sink
+		reg = obs.NewRegistry()
+		ccfg.Obs = reg
 	}
 	var qt *qtrace.Tracer
 	if cfg.TraceQueries {
@@ -247,7 +245,7 @@ func Deploy(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipda: %w", err)
 	}
-	return &Network{cfg: cfg, topo: topo, inst: inst, sink: sink, qt: qt}, nil
+	return &Network{cfg: cfg, topo: topo, inst: inst, reg: reg, qt: qt}, nil
 }
 
 // Size returns the number of nodes including the base station.
@@ -689,38 +687,24 @@ func TheoreticalLeafAdvantage(px float64, l int) float64 {
 // Observer exposes the instrumentation a deployment recorded. Obtain one
 // from Network.Obs after deploying with Config.Observe set.
 type Observer struct {
-	sink *obs.Sink
+	reg *obs.Registry
 }
 
 // Obs returns the network's instrumentation, or nil when the deployment
 // was not observed (Config.Observe false).
 func (n *Network) Obs() *Observer {
-	if n.sink == nil {
+	if n.reg == nil {
 		return nil
 	}
-	return &Observer{sink: n.sink}
+	return &Observer{reg: n.reg}
 }
 
 // WritePrometheus emits every recorded metric in the Prometheus text
 // exposition format. Output is deterministic: families and series are
 // sorted, so equal runs produce byte-identical exports.
 func (o *Observer) WritePrometheus(w io.Writer) error {
-	return o.sink.Reg.WriteProm(w)
+	return o.reg.WriteProm(w)
 }
-
-// WriteChromeTrace emits the recorded phase spans as a Chrome trace-event
-// JSON document loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Simulated seconds map to trace microseconds, so a
-// 1-second protocol phase renders as a 1 ms slice.
-func (o *Observer) WriteChromeTrace(w io.Writer) error {
-	return o.sink.Spans.WriteChromeTrace(w)
-}
-
-// Spans returns the number of recorded phase spans and instants.
-func (o *Observer) Spans() int { return o.sink.Spans.Len() }
-
-// DroppedSpans returns how many spans overflowed the recorder's limit.
-func (o *Observer) DroppedSpans() uint64 { return o.sink.Spans.Dropped() }
 
 // QueryTrace exposes the causal per-query trace a deployment recorded.
 // Obtain one from Network.QueryTrace after deploying with
@@ -749,7 +733,9 @@ func (q *QueryTrace) Dropped() int { return q.t.Dropped() }
 func (q *QueryTrace) WriteJSONL(w io.Writer) error { return q.t.WriteJSONL(w) }
 
 // WriteChromeTrace emits the trace as Chrome trace-event JSON loadable
-// in Perfetto (ui.perfetto.dev), one track per node.
+// in Perfetto (ui.perfetto.dev) or chrome://tracing, one track per node.
+// Simulated seconds map to trace microseconds, so a 1-second protocol
+// phase renders as a 1 ms slice.
 func (q *QueryTrace) WriteChromeTrace(w io.Writer) error {
 	return qtrace.WriteChromeTrace(w, q.t.Spans())
 }
@@ -765,42 +751,6 @@ func (q *QueryTrace) WriteText(w io.Writer) error {
 func (q *QueryTrace) WriteHealth(w io.Writer) error {
 	return qtrace.WriteHealth(w, q.t.Spans())
 }
-
-// Trace is a recorded protocol timeline (see EnableTrace).
-type Trace struct {
-	log *trace.Log
-}
-
-// EnableTrace starts recording every audible frame as a timeline event,
-// keeping at most limit events (the first limit — the tail is dropped).
-// Enable before running queries; write the result with WriteJSON.
-func (n *Network) EnableTrace(limit int) *Trace {
-	l := trace.New(limit)
-	trace.AttachRadio(l, n.inst.Sim, n.inst.Medium)
-	return &Trace{log: l}
-}
-
-// EnableRingTrace is EnableTrace with ring-buffer retention: once full,
-// each new event evicts the oldest, so long runs keep the *last* limit
-// events instead of the first.
-func (n *Network) EnableRingTrace(limit int) *Trace {
-	l := trace.NewRing(limit)
-	trace.AttachRadio(l, n.inst.Sim, n.inst.Medium)
-	return &Trace{log: l}
-}
-
-// Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.log.Events()) }
-
-// Dropped returns how many events overflowed the buffer (in ring mode,
-// how many old events were evicted).
-func (t *Trace) Dropped() int { return t.log.Dropped() }
-
-// Mode reports the capture mode: "head" or "ring".
-func (t *Trace) Mode() string { return t.log.Mode() }
-
-// WriteJSON emits the timeline as JSON lines.
-func (t *Trace) WriteJSON(w io.Writer) error { return t.log.WriteJSON(w) }
 
 // MultiTreeNetwork is the m > 2 generalization of iPDA (the extension
 // Section III-B sketches): m node-disjoint aggregation trees with
